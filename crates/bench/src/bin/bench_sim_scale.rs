@@ -1,39 +1,36 @@
-//! Simulator scaling: dense all-nodes scan vs the sleep-sparse slot-plan
-//! path vs the event-driven time-skipping engine, by network size.
+//! Simulator scaling: the `step()` reference vs `Simulator::run`, by
+//! network size.
 //!
-//! For each `n` the same duty-cycled scenario runs through
-//! `Simulator::run_dense` — the historical O(n)-per-slot scan — and through
-//! `Simulator::run`, which dispatches to the sparse pipeline iterating only
-//! the slot's scheduled rosters. The schedule is a round-robin duty cycle
-//! with frame `L = n / 4`: slot `i` wakes transmitter group `i` and
-//! listener group `(i + 1) mod L` (four nodes each), so the awake roster is
-//! eight nodes per slot *regardless of `n`* — the regime the sparse path is
-//! built for, and the one duty-cycled WSN schedules actually produce (most
-//! nodes asleep in most slots).
+//! `Simulator::step` visits one slot with rosters rebuilt from every
+//! node's MAC answer — O(n) schedule probes per slot — and is the
+//! reference every dispatched run is verified against. `Simulator::run`
+//! borrows the rosters from the cached slot plan and, when the run's
+//! randomness can be calendared, visits only the interesting slots (the
+//! skip clock). Both families below are skip-eligible, so the `run`
+//! column times the skip clock in each.
+//!
+//! The **rows family** is a round-robin duty cycle with frame `L = n / 4`:
+//! slot `i` wakes transmitter group `i` and listener group `(i + 1) mod L`
+//! (four nodes each), so the awake roster is eight nodes per slot
+//! *regardless of `n`* — the regime duty-cycled WSN schedules actually
+//! produce (most nodes asleep in most slots). Saturated broadcast makes
+//! every slot interesting, so the skip clock visits every slot over plan
+//! rosters; what it saves over `step()` is the per-slot roster rebuild.
+//!
+//! The **low-traffic family** is a fully duty-cycled schedule (frame
+//! `L = n`, one transmitter and one listener per slot over a
+//! perfect-matching topology) under CBR traffic with per-node arrival
+//! ~10⁻⁴/slot at `n = 64`, scaled so network load stays constant. Almost
+//! every slot is boring — no backlog, no generation — and the calendar
+//! jumps straight over them. A separate 10⁸-slot horizon row pins "a
+//! hundred million slots in seconds".
 //!
 //! The two reports are asserted **equal in full** (every counter, per-node
 //! energy, latency bits, trace) at every sweep point before any timing is
-//! trusted; `results_identical` in the JSON records that the assertion ran.
-//! The headline claims pinned by `BENCH_sim_scale.json`:
-//!
-//! * sparse per-slot cost stays near-flat as `n` grows: the phase work
-//!   tracks the awake roster (which the schedule caps, not the node
-//!   count); all that remains per sleeping node is the memory-bound bulk
-//!   sleep-charge sweep, a few ns per node versus the full per-node
-//!   pipeline the dense scan pays;
-//! * sparse-vs-dense speedup is at least 5× from `n = 256` up (asserted).
-//!
-//! The **low-traffic family** measures the time-skipping engine
-//! (`Simulator::run_skipping`) against the forced sparse path on the
-//! workload it exists for: a fully duty-cycled schedule (frame `L = n`,
-//! one transmitter and one listener per slot over a perfect-matching
-//! topology) under CBR traffic with per-node arrival ~10⁻⁴/slot at
-//! `n = 64`, scaled so network load stays constant. Almost every slot is
-//! boring — no backlog, no generation — and the calendar jumps straight
-//! over them. Reports are asserted identical in full at every point;
-//! skip-vs-sparse speedup is at least 10× at `n = 1024` (asserted), and a
-//! separate 10⁸-slot horizon row pins "a hundred million slots in
-//! seconds".
+//! trusted; `results_identical` in the JSON records that the assertion
+//! ran. Asserted floors: `run` at least 5× faster than `step()` from
+//! `n = 256` up in the rows family, and at least 10× at `n = 1024` in the
+//! low-traffic family.
 //!
 //! Run with `cargo run --release -p ttdc-bench --bin bench_sim_scale`.
 //! Pass `--smoke` (CI) for a single timing iteration on the smaller
@@ -76,8 +73,21 @@ fn duty_cycled_mac(n: usize) -> ScheduleMac {
     ScheduleMac::new("round-robin-dc", Schedule::new(n, t, r))
 }
 
-fn report(topo: &Topology, mac: &dyn MacProtocol, slots: u64, dense: bool) -> SimReport {
-    let mut sim = Simulator::new(
+/// Runs `slots` slots through `run()` or, with `step`, the `step()`
+/// reference.
+fn drive(mut sim: Simulator, mac: &dyn MacProtocol, slots: u64, step: bool) -> SimReport {
+    if step {
+        for _ in 0..slots {
+            sim.step(mac);
+        }
+    } else {
+        sim.run(mac, slots);
+    }
+    sim.report()
+}
+
+fn report(topo: &Topology, mac: &dyn MacProtocol, slots: u64, step: bool) -> SimReport {
+    let sim = Simulator::new(
         topo.clone(),
         TrafficPattern::SaturatedBroadcast,
         SimConfig {
@@ -85,16 +95,11 @@ fn report(topo: &Topology, mac: &dyn MacProtocol, slots: u64, dense: bool) -> Si
             ..Default::default()
         },
     );
-    if dense {
-        sim.run_dense(mac, slots);
-    } else {
-        sim.run(mac, slots);
-    }
-    sim.report()
+    drive(sim, mac, slots, step)
 }
 
 /// Mean awake (scheduled transmitter or listener) nodes per frame slot —
-/// the quantity the sparse path's cost actually tracks.
+/// the quantity a visited slot's phase work tracks.
 fn mean_awake_per_slot(mac: &dyn MacProtocol, n: usize) -> f64 {
     let frame = mac.frame_length() as u64;
     let awake: usize = (0..frame)
@@ -117,15 +122,15 @@ fn run_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
         mean_awake_per_slot(&mac, n)
     );
 
-    let (dense_ms, dense_report) = measure(iters, || report(&topo, &mac, slots, true));
-    let (sparse_ms, sparse_report) = measure(iters, || report(&topo, &mac, slots, false));
+    let (step_ms, step_report) = measure(iters, || report(&topo, &mac, slots, true));
+    let (skip_ms, skip_report) = measure(iters, || report(&topo, &mac, slots, false));
     assert_eq!(
-        sparse_report, dense_report,
-        "n={n}: sparse and dense reports must be identical"
+        skip_report, step_report,
+        "n={n}: run() and the step() reference must report identically"
     );
-    let speedup = dense_ms / sparse_ms;
+    let speedup = step_ms / skip_ms;
     eprintln!(
-        "  dense {dense_ms:.2} ms, sparse {sparse_ms:.2} ms over {slots} slots \
+        "  step {step_ms:.2} ms, run (skip clock) {skip_ms:.2} ms over {slots} slots \
          ({speedup:.2}x, identical reports)"
     );
     let row = json!({
@@ -134,11 +139,11 @@ fn run_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
         "mean_awake_per_slot": mean_awake_per_slot(&mac, n),
         "slots": slots,
         "iterations": iters,
-        "dense_median_ms": dense_ms,
-        "sparse_median_ms": sparse_ms,
-        "dense_us_per_slot": dense_ms * 1e3 / slots as f64,
-        "sparse_us_per_slot": sparse_ms * 1e3 / slots as f64,
-        "speedup_sparse_vs_dense": speedup,
+        "step_median_ms": step_ms,
+        "skip_clock_median_ms": skip_ms,
+        "step_us_per_slot": step_ms * 1e3 / slots as f64,
+        "skip_clock_us_per_slot": skip_ms * 1e3 / slots as f64,
+        "speedup_skip_clock_vs_step": speedup,
         "results_identical": true,
     });
     (row, speedup)
@@ -172,11 +177,9 @@ fn low_traffic_period(n: usize) -> u64 {
     10_000 * n as u64 / 64
 }
 
-fn low_traffic_report(n: usize, slots: u64, skip: bool) -> SimReport {
-    let topo = matching_topo(n);
-    let mac = matching_mac(n);
-    let mut sim = Simulator::new(
-        topo,
+fn low_traffic_report(n: usize, slots: u64, step: bool) -> SimReport {
+    let sim = Simulator::new(
+        matching_topo(n),
         TrafficPattern::CbrUnicast {
             period: low_traffic_period(n),
         },
@@ -185,12 +188,7 @@ fn low_traffic_report(n: usize, slots: u64, skip: bool) -> SimReport {
             ..Default::default()
         },
     );
-    if skip {
-        sim.run_skipping(&mac, slots);
-    } else {
-        sim.run_sparse(&mac, slots);
-    }
-    sim.report()
+    drive(sim, &matching_mac(n), slots, step)
 }
 
 fn run_low_traffic_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
@@ -200,15 +198,15 @@ fn run_low_traffic_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
          (per-node arrival {:.1e}/slot)",
         1.0 / period as f64
     );
-    let (sparse_ms, sparse_report) = measure(iters, || low_traffic_report(n, slots, false));
-    let (skip_ms, skip_report) = measure(iters, || low_traffic_report(n, slots, true));
+    let (step_ms, step_report) = measure(iters, || low_traffic_report(n, slots, true));
+    let (skip_ms, skip_report) = measure(iters, || low_traffic_report(n, slots, false));
     assert_eq!(
-        skip_report, sparse_report,
-        "n={n}: skipping and sparse reports must be identical"
+        skip_report, step_report,
+        "n={n}: run() and the step() reference must report identically"
     );
-    let speedup = sparse_ms / skip_ms;
+    let speedup = step_ms / skip_ms;
     eprintln!(
-        "  sparse {sparse_ms:.2} ms, skip {skip_ms:.2} ms over {slots} slots \
+        "  step {step_ms:.2} ms, run (skip clock) {skip_ms:.2} ms over {slots} slots \
          ({speedup:.2}x, identical reports)"
     );
     let row = json!({
@@ -217,24 +215,24 @@ fn run_low_traffic_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
         "cbr_period": period,
         "slots": slots,
         "iterations": iters,
-        "sparse_median_ms": sparse_ms,
-        "skip_median_ms": skip_ms,
-        "sparse_us_per_slot": sparse_ms * 1e3 / slots as f64,
-        "skip_us_per_slot": skip_ms * 1e3 / slots as f64,
-        "speedup_skip_vs_sparse": speedup,
+        "step_median_ms": step_ms,
+        "skip_clock_median_ms": skip_ms,
+        "step_us_per_slot": step_ms * 1e3 / slots as f64,
+        "skip_clock_us_per_slot": skip_ms * 1e3 / slots as f64,
+        "speedup_skip_clock_vs_step": speedup,
         "results_identical": true,
     });
     (row, speedup)
 }
 
-/// One skip-only timed run at a horizon far beyond what the slot-by-slot
-/// paths can cover in a benchmark: pins "10⁸ slots in seconds" in the
-/// JSON. (A cross-check against sparse at this length would take hours;
-/// the identity rows plus the proptest suite carry that guarantee.)
+/// One `run()`-only timed run at a horizon far beyond what the `step()`
+/// reference can cover in a benchmark: pins "10⁸ slots in seconds" in the
+/// JSON. (A cross-check against `step()` at this length would take hours;
+/// the identity rows plus the proptest suites carry that guarantee.)
 fn run_horizon_row(n: usize, slots: u64) -> Value {
-    eprintln!("horizon point n={n}: {slots} slots, skip engine only");
+    eprintln!("horizon point n={n}: {slots} slots, run() (skip clock) only");
     let t0 = Instant::now();
-    let report = low_traffic_report(n, slots, true);
+    let report = low_traffic_report(n, slots, false);
     let secs = t0.elapsed().as_secs_f64();
     let delivered = report.delivered;
     eprintln!(
@@ -246,7 +244,7 @@ fn run_horizon_row(n: usize, slots: u64) -> Value {
         "frame_length": n,
         "cbr_period": low_traffic_period(n),
         "slots": slots,
-        "skip_wall_s": secs,
+        "skip_clock_wall_s": secs,
         "slots_per_sec": slots as f64 / secs,
         "packets_delivered": delivered,
     })
@@ -289,13 +287,13 @@ fn main() {
     for &(n, _, speedup) in &points {
         assert!(
             n < 256 || speedup >= 5.0,
-            "n={n}: sparse speedup {speedup:.2}x below the 5x floor"
+            "n={n}: run() speedup over step() {speedup:.2}x below the 5x floor"
         );
     }
     for &(n, _, speedup) in &low_points {
         assert!(
             n < 1024 || speedup >= 10.0,
-            "n={n}: skip speedup {speedup:.2}x below the 10x floor"
+            "n={n}: run() speedup over step() {speedup:.2}x below the 10x floor"
         );
     }
     let rows: Vec<Value> = points.into_iter().map(|(_, row, _)| row).collect();
@@ -303,10 +301,10 @@ fn main() {
     let horizon = horizon_slots.map(|h| run_horizon_row(1024, h));
 
     let doc = json!({
-        "description": "sleep-sparse simulation scaling: dense all-nodes slot scan vs precomputed slot-plan roster iteration, by network size (round-robin duty-cycled schedule with frame n/4 and 8 awake nodes per slot, saturated broadcast, single thread)",
-        "note": "dense per-slot cost grows with n (full per-node pipeline); sparse phase work tracks mean_awake_per_slot, which the duty-cycled schedule caps at 8, leaving only the memory-bound bulk sleep-charge sweep (a few ns per sleeping node) to grow with n. results_identical means the full SimReport (counters, per-node energy, latency bits, trace) matched between the two paths at that point.",
+        "description": "simulation scaling: the step() reference (rosters rebuilt from every node's MAC answer each slot) vs Simulator::run, by network size (single thread). Both families are skip-eligible, so every run() column times the skip clock over cached plan rosters.",
+        "note": "rows family: round-robin duty-cycled schedule with frame n/4 and 8 awake nodes per slot under saturated broadcast, so the skip clock visits every slot; step() pays O(n) schedule probes per slot to rebuild the rosters, run() borrows them from the plan, leaving only the memory-bound bulk sleep-charge sweep (a few ns per sleeping node) to grow with n. results_identical means the full SimReport (counters, per-node energy, latency bits, trace) matched between the two at that point.",
         "rows": rows,
-        "low_traffic_note": "event-driven time-skipping vs forced sparse on a fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). Sparse pays the per-slot CBR gate over all n nodes; the skip engine's calendar jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
+        "low_traffic_note": "fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). step() visits every slot and rebuilds its rosters; the skip clock jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
         "low_traffic_rows": low_rows,
         "horizon_row": horizon.unwrap_or(Value::Null),
     });

@@ -106,7 +106,7 @@ const LARGE_SIZES: [usize; 3] = [64, 128, 256];
 /// convergecast at growing `n`. The TTDC frame grows superlinearly in `n`
 /// (50k+ slots at `n = 256`), so a horizon of a few frames is hundreds of
 /// thousands of simulated slots; these points are tractable because the
-/// sleep-sparse engine path makes per-slot cost track the awake roster
+/// engine's plan rosters make per-slot cost track the awake roster
 /// instead of `n`. The workload is normalised to the frame (a quarter
 /// packet per node per frame) so the offered load per transmit opportunity
 /// stays comparable across sizes; the single convergecast sink still

@@ -135,10 +135,20 @@ impl SimulatorBuilder {
     /// Validates the configuration and assembles the simulator.
     pub fn build(self) -> Result<Simulator, SimError> {
         let n = self.topo.num_nodes();
-        if let Some(sink) = self.pattern.sink() {
-            if sink >= n {
+        match self.pattern {
+            TrafficPattern::Convergecast { sink, .. } if sink >= n => {
                 return Err(SimError::SinkOutOfRange { sink, nodes: n });
             }
+            TrafficPattern::CbrUnicast { period: 0 } => return Err(SimError::ZeroCbrPeriod),
+            TrafficPattern::PoissonUnicast { rate } | TrafficPattern::Convergecast { rate, .. }
+                if !(0.0..=1.0).contains(&rate) =>
+            {
+                return Err(SimError::InvalidProbability {
+                    what: "traffic generation rate",
+                    value: rate,
+                });
+            }
+            _ => {}
         }
         if !(0.0..=1.0).contains(&self.config.miss_probability) {
             return Err(SimError::InvalidMissProbability {
@@ -210,6 +220,53 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, SimError::CaptureRatioTooSmall { ratio: 0.5 });
+    }
+
+    #[test]
+    fn builder_rejects_a_zero_cbr_period() {
+        let err =
+            SimulatorBuilder::new(Topology::line(2), TrafficPattern::CbrUnicast { period: 0 })
+                .build()
+                .unwrap_err();
+        assert_eq!(err, SimError::ZeroCbrPeriod);
+        assert!(
+            SimulatorBuilder::new(Topology::line(2), TrafficPattern::CbrUnicast { period: 1 })
+                .build()
+                .is_ok()
+        );
+    }
+
+    #[test]
+    fn builder_rejects_generation_rates_outside_the_unit_interval() {
+        for rate in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            for pattern in [
+                TrafficPattern::PoissonUnicast { rate },
+                TrafficPattern::Convergecast { sink: 0, rate },
+            ] {
+                let err = SimulatorBuilder::new(Topology::line(2), pattern)
+                    .build()
+                    .unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        SimError::InvalidProbability {
+                            what: "traffic generation rate",
+                            ..
+                        }
+                    ),
+                    "{pattern:?}: {err}"
+                );
+            }
+        }
+        // The closed interval's endpoints are valid rates.
+        for rate in [0.0, 1.0] {
+            assert!(SimulatorBuilder::new(
+                Topology::line(2),
+                TrafficPattern::PoissonUnicast { rate }
+            )
+            .build()
+            .is_ok());
+        }
     }
 
     #[test]

@@ -105,24 +105,6 @@ pub trait ChannelModel: std::fmt::Debug + Send {
     /// reports [`Reception::Faded`].
     fn decode(&self, y: usize, topo: &Topology, transmitting: &[bool]) -> Reception;
 
-    /// Full resolution: [`decode`](ChannelModel::decode), then subject a
-    /// decoded transmission to injected link fading.
-    fn resolve(
-        &self,
-        y: usize,
-        slot: u64,
-        topo: &Topology,
-        transmitting: &[bool],
-        fading: &mut LinkFading<'_>,
-    ) -> Reception {
-        match self.decode(y, topo, transmitting) {
-            Reception::Decoded { from } if !fading.delivers(from, y, slot) => {
-                Reception::Faded { from }
-            }
-            r => r,
-        }
-    }
-
     /// [`decode`](ChannelModel::decode) with the transmitter set also
     /// available as a word mask (`tx_mask.contains(v) ⟺ transmitting[v]`
     /// — the engine maintains both). The default ignores the mask and
@@ -140,10 +122,9 @@ pub trait ChannelModel: std::fmt::Debug + Send {
         self.decode(y, topo, transmitting)
     }
 
-    /// [`resolve`](ChannelModel::resolve) routed through
-    /// [`decode_masked`](ChannelModel::decode_masked) — same fading
-    /// contract: exactly one draw per decoded reception, none otherwise.
-    fn resolve_masked(
+    /// Full resolution: [`decode_masked`](ChannelModel::decode_masked),
+    /// then subject a decoded transmission to injected link fading.
+    fn resolve(
         &self,
         y: usize,
         slot: u64,
@@ -369,19 +350,21 @@ mod tests {
         let mut state = FaultState::new(FaultPlan::lossy(1.0), 3, 1);
         let mut fading = LinkFading::new(&mut state, true);
         let ch = IdealChannel;
+        let one = ttdc_util::BitSet::from_iter(3, [1]);
+        let two = ttdc_util::BitSet::from_iter(3, [1, 2]);
         assert_eq!(
-            ch.resolve(0, 0, &topo, &star_flags(3, &[1]), &mut fading),
+            ch.resolve(0, 0, &topo, &star_flags(3, &[1]), &one, &mut fading),
             Reception::Faded { from: 1 }
         );
         assert_eq!(
-            ch.resolve(0, 1, &topo, &star_flags(3, &[1, 2]), &mut fading),
+            ch.resolve(0, 1, &topo, &star_flags(3, &[1, 2]), &two, &mut fading),
             Reception::Collision
         );
         // Inactive fading passes everything through untouched.
         let mut state = FaultState::new(FaultPlan::none(), 3, 1);
         let mut off = LinkFading::new(&mut state, false);
         assert_eq!(
-            ch.resolve(0, 0, &topo, &star_flags(3, &[1]), &mut off),
+            ch.resolve(0, 0, &topo, &star_flags(3, &[1]), &one, &mut off),
             Reception::Decoded { from: 1 }
         );
     }

@@ -93,7 +93,7 @@ impl EnergyLedger {
     /// sleep floor (`sleep_mj`, hoisted by the caller) per node. Per node
     /// this is the exact `+= slot_energy_mj(Sleep)` that [`record`] would
     /// perform, just stripped of the per-call state dispatch so the
-    /// sleep-sparse energy pass can charge whole schedule gaps in two
+    /// energy phase can charge whole schedule gaps in two
     /// tight (auto-vectorisable) array sweeps.
     ///
     /// [`record`]: EnergyLedger::record

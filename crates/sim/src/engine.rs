@@ -1,9 +1,10 @@
 //! The slot-synchronous simulation engine (thin orchestrator).
 //!
 //! Time advances in slots (the paper assumes loose synchronization and
-//! describes behaviour per slot, §1/§3). Each [`Simulator::step`] runs the
-//! seven-phase pipeline (one internal module per phase under
-//! `crates/sim/src/phases/`):
+//! describes behaviour per slot, §1/§3). Every visited slot runs the same
+//! seven-phase pipeline over that slot's rosters — its ascending
+//! transmitter, listener and awake lists, the paper's `(T_i, R_i)` pair
+//! (one internal module per phase under `crates/sim/src/phases/`):
 //!
 //! 1. fault processes (crash/recovery, clock drift);
 //! 2. traffic generation per the [`TrafficPattern`];
@@ -13,6 +14,23 @@
 //!    a reception at `y` succeeds iff **exactly one** of its neighbours
 //!    transmits;
 //! 5. handoff delivery; 6. bounded ARQ; 7. energy and battery depletion.
+//!
+//! The engine owns time and the rosters; the phases only react. Two
+//! decisions are the engine's, made in [`Simulator::run`] from what it
+//! can observe:
+//!
+//! * the **roster source** — borrowed from the cached [`SlotPlan`] when
+//!   the MAC is frame-periodic and clock drift is off, otherwise refilled
+//!   every slot from each node's MAC answer at its perceived slot (clock
+//!   drift, or a non-periodic MAC such as an asynchronous random-wakeup
+//!   baseline);
+//! * the **clock policy** — visit every slot, or, when nothing random can
+//!   happen off-calendar, visit only the slots the skip calendar names
+//!   (see the `events` module) and settle the spans in between in bulk:
+//!   listener occurrences, per-node sleep debt, battery epochs.
+//!
+//! [`Simulator::step`] always refills the rosters and visits one slot; it
+//! is the reference the dispatched `run` is verified against.
 //!
 //! Anything observable is announced as a [`SlotEvent`] to the attached
 //! [`SlotObserver`]s; the built-in metrics and trace observers assemble
@@ -34,7 +52,7 @@ use crate::mac::MacProtocol;
 use crate::metrics::SimReport;
 use crate::observer::{MetricsObserver, SlotEvent, SlotObserver, TraceObserver};
 use crate::phases;
-use crate::plan::SlotPlan;
+use crate::plan::{PlanSlot, SlotPlan};
 use crate::topology::Topology;
 use crate::traffic::{Packet, TrafficPattern};
 use rand::rngs::SmallRng;
@@ -113,27 +131,35 @@ pub struct Simulator {
     pub(crate) listening: Vec<bool>,
     pub(crate) tx_queue_idx: Vec<usize>,
     pub(crate) successes: Vec<(usize, usize)>,
-    /// Nodes that actually transmitted this slot, ascending. Maintained by
-    /// both election paths: the sparse step clears only these flags
-    /// instead of all `n`, and the ARQ pass iterates them instead of
-    /// scanning every node.
+    /// Nodes that actually transmitted this slot, ascending: the election
+    /// phase clears only these flags instead of all `n`, and the ARQ pass
+    /// iterates them instead of scanning every node.
     pub(crate) active_tx: Vec<usize>,
     /// Nodes that actually listened this slot, ascending (same role as
     /// `active_tx` for the `listening` flags).
     pub(crate) active_rx: Vec<usize>,
-    /// `active_tx` as a word mask; the sparse channel phase resolves
-    /// receptions by intersecting neighbourhoods against it.
+    /// `active_tx` as a word mask; the channel phase resolves receptions
+    /// by intersecting neighbourhoods against it.
     pub(crate) tx_mask: BitSet,
-    /// `perceived[v]` = the slot node `v` believes it is in, refreshed
-    /// once per slot after the fault phase (election and channel both
-    /// read it; under zero drift it equals the true slot).
-    pub(crate) perceived: Vec<u64>,
-    /// Cached sleep-sparse slot plan, rebuilt in place by [`Simulator::run`]
-    /// whenever the sparse path is eligible (rebuilding reuses buffers, so
-    /// steady-state runs stay allocation-free).
+    /// The per-slot roster buffer, refilled from every node's perceived
+    /// slot whenever the plan cannot supply the rosters.
+    roster: PlanSlot,
+    /// Cached slot plan, rebuilt in place by [`Simulator::run`] whenever
+    /// plan rosters are valid (rebuilding reuses buffers, so steady-state
+    /// runs stay allocation-free).
     plan_cache: Option<SlotPlan>,
-    /// Cached time-skipping calendar state, buffer-reused like the plan.
+    /// Cached skip-clock calendar state, buffer-reused like the plan.
     skip_cache: Option<SkipState>,
+}
+
+/// Where a visited slot's rosters come from (see the `plan` module).
+enum Rosters<'a> {
+    /// Borrowed from the cached [`SlotPlan`] (frame-periodic MAC, zero
+    /// drift).
+    Plan(&'a PlanSlot),
+    /// Refilled into a reused buffer from every node's MAC answer at its
+    /// own perceived slot.
+    Perceived(&'a mut PlanSlot),
 }
 
 impl Simulator {
@@ -196,7 +222,7 @@ impl Simulator {
             active_tx: Vec::with_capacity(n),
             active_rx: Vec::with_capacity(n),
             tx_mask: BitSet::new(n),
-            perceived: vec![0; n],
+            roster: PlanSlot::with_capacity(n),
             plan_cache: None,
             skip_cache: None,
         };
@@ -306,41 +332,46 @@ impl Simulator {
         }
     }
 
-    /// Advances one slot under `mac`: runs the seven-phase pipeline (the
-    /// module-level docs list the phases) and closes the slot for every
-    /// observer. This is the dense reference path — every phase scans all
-    /// `n` nodes; [`Simulator::run`] prefers the bit-identical
-    /// sleep-sparse step when the MAC allows it.
+    /// Advances one slot under `mac`, with rosters rebuilt from every
+    /// node's MAC answers at its perceived slot. This is the reference
+    /// [`Simulator::run`] is verified against: `run` only changes where
+    /// the rosters come from and which slots it visits, never what a
+    /// visited slot does.
     pub fn step(&mut self, mac: &dyn MacProtocol) {
-        phases::faults::run(self);
-        self.refresh_perceived();
-        phases::traffic::run(self);
-        phases::election::run(self, mac);
-        phases::channel::run(self, mac);
-        phases::delivery::run(self);
-        phases::arq::run(self);
-        phases::energy::run(self);
-        self.close_slot();
+        let mut roster = std::mem::take(&mut self.roster);
+        self.step_with(mac, Rosters::Perceived(&mut roster), None);
+        self.roster = roster;
     }
 
-    /// Advances one slot through the sleep-sparse pipeline: election walks
-    /// only `plan`'s transmitter roster, channel only its listener roster
-    /// (resolving receptions against the word-level transmitter mask), ARQ
-    /// only the actual transmitters, and energy charges the roster
-    /// complement as sleepers in bulk. Caller guarantees eligibility
-    /// (periodic MAC, zero clock drift), under which every gate and RNG
-    /// draw matches the dense [`Simulator::step`] exactly.
-    fn step_sparse(&mut self, mac: &dyn MacProtocol, plan: &SlotPlan) {
+    /// Runs the seven-phase pipeline (the module-level docs list the
+    /// phases) over one slot's rosters and closes the slot for every
+    /// observer. `sleep_debt` is the skip clock's per-node flush marks:
+    /// when present, sleepers accrue debt instead of being charged now.
+    fn step_with(
+        &mut self,
+        mac: &dyn MacProtocol,
+        rosters: Rosters<'_>,
+        sleep_debt: Option<&mut [u64]>,
+    ) {
         phases::faults::run(self);
-        // Zero drift: every node perceives the true slot, so the
-        // `perceived` scratch refresh is skipped (nothing reads it on
-        // this path).
+        // Drift accrues in the fault phase, so perceived rosters fill
+        // after it. Filling draws no randomness.
+        let roster: &PlanSlot = match rosters {
+            Rosters::Plan(roster) => roster,
+            Rosters::Perceived(roster) => {
+                let (slot, faults) = (self.slot, &self.faults);
+                roster.refill(mac, self.topo.num_nodes(), |v| {
+                    faults.perceived_slot(v, slot)
+                });
+                roster
+            }
+        };
         phases::traffic::run(self);
-        phases::election::run_sparse(self, mac, plan);
-        phases::channel::run_sparse(self, plan);
+        phases::election::run(self, mac, &roster.tx);
+        phases::channel::run(self, &roster.rx);
         phases::delivery::run(self);
-        phases::arq::run_sparse(self);
-        phases::energy::run_sparse(self, plan);
+        phases::arq::run(self);
+        phases::energy::run(self, &roster.awake, sleep_debt);
         self.close_slot();
     }
 
@@ -355,30 +386,19 @@ impl Simulator {
         self.slot += 1;
     }
 
-    /// Recomputes each node's drift-perceived slot once for the whole
-    /// slot; the election and channel phases read the scratch instead of
-    /// re-deriving it per phase.
-    fn refresh_perceived(&mut self) {
-        let slot = self.slot;
-        for (v, p) in self.perceived.iter_mut().enumerate() {
-            *p = self.faults.perceived_slot(v, slot);
-        }
-    }
-
-    /// `true` when the sleep-sparse path reproduces the dense pipeline
-    /// bit for bit: the MAC must genuinely be frame-periodic (so rosters
-    /// precomputed at `slot % L` are the schedule), and clock drift must
-    /// be off (a drifted node consults the schedule at its *perceived*
-    /// slot, which no per-frame plan can represent).
-    fn sparse_eligible(&self, mac: &dyn MacProtocol) -> bool {
+    /// `true` when slot `s`'s rosters are frame slot `s mod L`'s, so the
+    /// cached [`SlotPlan`] can supply them: the MAC must genuinely be
+    /// frame-periodic, and clock drift must be off (a drifted node
+    /// consults the schedule at its *perceived* slot, which no per-frame
+    /// plan can represent).
+    fn plan_valid(&self, mac: &dyn MacProtocol) -> bool {
         mac.frame_periodic() && mac.frame_length() > 0 && self.faults.plan().clock_drift == 0.0
     }
 
-    /// `true` when the time-skipping engine reproduces the slot-by-slot
-    /// pipelines bit for bit. On top of sparse eligibility this requires
-    /// that *boring* slots (no scheduled transmitter with a backlog, no
-    /// traffic generation) provably consume no randomness and emit no
-    /// event, so the clock can jump over them:
+    /// `true` when, on top of plan rosters, the skip clock may jump over
+    /// *boring* slots (no scheduled transmitter with a backlog, no
+    /// traffic generation): such slots must provably consume no
+    /// randomness and emit no event.
     ///
     /// * sync-miss off — a miss roll draws per roster transmitter/listener
     ///   even when idle;
@@ -390,10 +410,10 @@ impl Simulator {
     ///   on schedule) and CBR (a closed-form generation calendar) are
     ///   predictable;
     /// * no user observers — they may watch `on_slot_end` for slots the
-    ///   skip engine never announces;
+    ///   clock never visits;
     /// * a sane energy model — bulk sleep charges fast-forward repeated
     ///   `f64` addition, which requires finite non-negative slot costs.
-    fn skip_eligible(&self, mac: &dyn MacProtocol) -> bool {
+    fn skip_eligible(&self) -> bool {
         let e = &self.config.energy;
         let energies_sane = [RadioState::Transmit, RadioState::Listen, RadioState::Sleep]
             .iter()
@@ -401,126 +421,105 @@ impl Simulator {
                 let mj = e.slot_energy_mj(s);
                 mj.is_finite() && mj >= 0.0
             });
-        self.sparse_eligible(mac)
-            && self.config.miss_probability == 0.0
+        self.config.miss_probability == 0.0
             && self.faults.plan().crash.is_none()
             && self.extra_observers.is_empty()
             && energies_sane
             && matches!(
                 self.pattern,
-                TrafficPattern::SaturatedBroadcast | TrafficPattern::CbrUnicast { period: 1.. }
+                TrafficPattern::SaturatedBroadcast | TrafficPattern::CbrUnicast { .. }
             )
     }
 
     /// Runs `slots` consecutive slots under `mac`.
     ///
-    /// Dispatches to the fastest eligible pipeline: the event-driven
-    /// time-skipping engine when the run is deterministic enough for a
-    /// slot calendar ([`Simulator::run_skipping`]) and long enough to
-    /// amortise its eager frame fill, then the sleep-sparse pipeline when
-    /// `mac` is frame-periodic and clock drift is inactive
-    /// ([`Simulator::run_sparse`]), and the dense per-node scan otherwise
-    /// ([`Simulator::run_dense`] forces the latter). All paths produce
-    /// bit-identical reports and traces — the golden fixtures and the
-    /// equivalence proptests pin this — so the dispatch is purely a
-    /// performance decision.
+    /// Every visited slot runs the same pipeline as [`Simulator::step`];
+    /// `run` only chooses, from what it can observe, where the rosters
+    /// come from and which slots to visit:
+    ///
+    /// * **rosters** — borrowed from the cached [`SlotPlan`] when the MAC
+    ///   is frame-periodic and clock drift is off, otherwise refilled
+    ///   every slot from each node's perceived slot (as `step` does);
+    /// * **clock** — every slot, or, when the run's randomness can be
+    ///   calendared (see `skip_eligible`) and it spans at least a frame
+    ///   (the skip clock fills the whole plan up front), only the
+    ///   *interesting* slots, settling the spans in between in bulk.
+    ///
+    /// The choice is purely a performance decision: reports and traces
+    /// are bit-identical to a loop of `step` calls, which the golden
+    /// fixtures and the equivalence proptests pin.
     pub fn run(&mut self, mac: &dyn MacProtocol, slots: u64) {
         if slots == 0 {
             return;
         }
-        // Time skipping pays an eager O(L·n) frame fill up front; only
-        // worth it when the run visits at least a frame's worth of slots.
-        if slots >= mac.frame_length() as u64 && self.skip_eligible(mac) {
-            self.run_skipping(mac, slots);
-        } else {
-            self.run_sparse(mac, slots);
-        }
-    }
-
-    /// Runs `slots` consecutive slots through the sleep-sparse pipeline,
-    /// never time-skipping (falls back to the dense scan when the MAC is
-    /// not frame-periodic or clock drift is active). This is the
-    /// reference the skipping engine is measured and verified against;
-    /// [`Simulator::run`] normally picks the fastest eligible path.
-    pub fn run_sparse(&mut self, mac: &dyn MacProtocol, slots: u64) {
-        if slots == 0 {
+        if !self.plan_valid(mac) {
+            for _ in 0..slots {
+                self.step(mac);
+            }
             return;
         }
-        if !self.sparse_eligible(mac) {
-            self.run_dense(mac, slots);
-            return;
-        }
-        // Build the plan into the cached buffers: the refill allocates
+        // Rebuild the plan into the cached buffers: the refill allocates
         // only when the frame/node shape actually grew, so repeated runs
         // under the same MAC keep the whole loop heap-silent.
         let n = self.topo.num_nodes();
-        match &mut self.plan_cache {
-            Some(plan) => plan.rebuild(mac, n),
-            None => self.plan_cache = Some(SlotPlan::build(mac, n)),
-        }
-        // Move the plan out while stepping (phases borrow the simulator
-        // mutably) and restore it afterwards.
-        let mut plan = self.plan_cache.take().expect("plan was just built");
-        for _ in 0..slots {
-            // Lazy fill: rosters materialise the first time a frame slot
-            // is visited, so short runs under huge frames (TTDC's frame
-            // grows ~n^2.25) never pay for slots they don't reach.
-            plan.ensure_filled(mac, plan.slot_index(self.slot));
-            self.step_sparse(mac, &plan);
+        let mut plan = match self.plan_cache.take() {
+            Some(mut plan) => {
+                plan.rebuild(mac, n);
+                plan
+            }
+            None => SlotPlan::build(mac, n),
+        };
+        if slots >= plan.frame_length() as u64 && self.skip_eligible() {
+            self.run_skip_clock(mac, &mut plan, slots);
+        } else {
+            for _ in 0..slots {
+                // Lazy fill: rosters materialise the first time a frame
+                // slot is visited, so short runs under huge frames (TTDC's
+                // frame grows ~n^2.25) never pay for slots they don't
+                // reach.
+                plan.ensure_filled(mac, plan.slot_index(self.slot));
+                self.step_planned(mac, &plan, None);
+            }
         }
         self.plan_cache = Some(plan);
     }
 
-    /// Runs `slots` consecutive slots through the dense per-node pipeline
-    /// unconditionally — the reference path the sparse one is measured
-    /// and verified against (`bench_sim_scale`, the equivalence
-    /// proptests).
-    pub fn run_dense(&mut self, mac: &dyn MacProtocol, slots: u64) {
-        for _ in 0..slots {
-            self.step(mac);
-        }
+    /// Runs the current slot over `plan`'s rosters (which must be filled).
+    fn step_planned(
+        &mut self,
+        mac: &dyn MacProtocol,
+        plan: &SlotPlan,
+        sleep_debt: Option<&mut [u64]>,
+    ) {
+        let roster = plan.slot(plan.slot_index(self.slot));
+        self.step_with(mac, Rosters::Plan(roster), sleep_debt);
     }
 
-    /// Runs `slots` consecutive slots through the event-driven
-    /// time-skipping engine: the clock jumps between *interesting* slots
-    /// (traffic generation, scheduled transmit occurrences of backlogged
-    /// nodes — see the `events` module) and the skipped spans are settled in
-    /// bulk (listener occurrences charged from the frame summaries,
-    /// per-node sleep debt fast-forwarded bit-exactly). Produces reports
-    /// and traces bit-identical to [`Simulator::run_sparse`] /
-    /// [`Simulator::run_dense`]; falls back to them when the
-    /// configuration's randomness (drift, sync-miss, crash plans, Poisson
-    /// traffic, user observers) cannot be calendared.
+    /// The skip clock: jumps between *interesting* slots (traffic
+    /// generation, scheduled transmit occurrences of backlogged nodes —
+    /// see the `events` module), runs the ordinary step in each, and
+    /// settles the skipped spans in bulk (listener occurrences charged
+    /// from the frame summaries, per-node sleep debt fast-forwarded
+    /// bit-exactly).
     ///
     /// With a battery capacity configured, skipping proceeds in *epochs*:
     /// each skip window is bounded so that no node can possibly deplete
     /// inside it (half the minimum live headroom at the most expensive
-    /// radio state), and when a depletion is near the engine drops to the
-    /// slot-by-slot sparse pipeline for a window so deaths land on
-    /// exactly the slot they would in every other mode.
-    pub fn run_skipping(&mut self, mac: &dyn MacProtocol, slots: u64) {
-        if slots == 0 {
-            return;
-        }
-        if !self.skip_eligible(mac) {
-            self.run_sparse(mac, slots);
-            return;
-        }
+    /// radio state), and when a depletion is near the clock visits every
+    /// slot for a window so deaths land on exactly the slot they would
+    /// under `step`.
+    fn run_skip_clock(&mut self, mac: &dyn MacProtocol, plan: &mut SlotPlan, slots: u64) {
         // Below this many slots of guaranteed headroom, step instead of
         // opening another (flush_all-bracketed) epoch.
         const MIN_EPOCH: u64 = 16;
-        // How many slots to sparse-step when a depletion is imminent.
-        const SPARSE_WINDOW: u64 = 64;
-        let n = self.topo.num_nodes();
-        match &mut self.plan_cache {
-            Some(plan) => plan.rebuild(mac, n),
-            None => self.plan_cache = Some(SlotPlan::build(mac, n)),
-        }
-        let mut plan = self.plan_cache.take().expect("plan was just built");
+        // How many slots to step when a depletion is imminent.
+        const STEPPED_WINDOW: u64 = 64;
         // Eager fill: the calendar's frame summaries need every roster.
         plan.ensure_filled(mac, plan.frame_length() - 1);
+        let plan = &*plan;
+        let n = self.topo.num_nodes();
         let mut skip = self.skip_cache.take().unwrap_or_default();
-        skip.prepare(&plan, self.slot, &self.queues, &self.dead);
+        skip.prepare(plan, self.slot, &self.queues, &self.dead);
         let end = self.slot + slots;
         while self.slot < end {
             // Battery epoch: a window no node can deplete within. The
@@ -530,12 +529,11 @@ impl Simulator {
                 Some(cap) => {
                     let h = self.battery_epoch_slots(cap);
                     if h < MIN_EPOCH {
-                        // Depletion imminent: run the slot-by-slot sparse
-                        // pipeline so the death lands on its exact slot,
-                        // then re-sync the calendar.
-                        let w = SPARSE_WINDOW.min(end - self.slot);
-                        for _ in 0..w {
-                            self.step_sparse(mac, &plan);
+                        // Depletion imminent: visit every slot so the
+                        // death lands on its exact slot, then re-sync the
+                        // calendar.
+                        for _ in 0..STEPPED_WINDOW.min(end - self.slot) {
+                            self.step_planned(mac, plan, None);
                         }
                         skip.resettle(self.slot, &self.queues, &self.dead);
                         continue;
@@ -551,7 +549,7 @@ impl Simulator {
                 if next > self.slot {
                     phases::energy::advance_span(
                         self,
-                        &plan,
+                        plan,
                         &skip.active.rx_busy,
                         &mut skip.last_flush,
                         next,
@@ -562,14 +560,8 @@ impl Simulator {
                     break;
                 }
                 skip.pop_due(self.slot);
-                self.step_skip(mac, &plan, &mut skip);
-                skip.rearm_after_step(
-                    &plan,
-                    self.slot - 1,
-                    &self.pattern,
-                    &self.queues,
-                    &self.dead,
-                );
+                self.step_planned(mac, plan, Some(&mut skip.last_flush));
+                skip.rearm_after_step(plan, self.slot - 1, &self.pattern, &self.queues, &self.dead);
             }
             if self.config.battery_capacity_mj.is_some() {
                 // Settle at the epoch boundary so the next headroom (and
@@ -579,7 +571,6 @@ impl Simulator {
         }
         phases::energy::flush_all(self, &mut skip.last_flush);
         self.skip_cache = Some(skip);
-        self.plan_cache = Some(plan);
     }
 
     /// How many slots are *guaranteed* death-free from a settled ledger:
@@ -615,22 +606,6 @@ impl Simulator {
         } else {
             h as u64
         }
-    }
-
-    /// Advances one *interesting* slot inside the skipping engine. The
-    /// fault phase is elided outright: skip eligibility guarantees no
-    /// crash plan and zero drift, under which it draws nothing and
-    /// changes nothing. Traffic runs the calendar-aware pass, energy the
-    /// debt-settling one; the middle of the pipeline is exactly the
-    /// sleep-sparse step.
-    fn step_skip(&mut self, mac: &dyn MacProtocol, plan: &SlotPlan, skip: &mut SkipState) {
-        phases::traffic::run_skip(self);
-        phases::election::run_sparse(self, mac, plan);
-        phases::channel::run_sparse(self, plan);
-        phases::delivery::run(self);
-        phases::arq::run_sparse(self);
-        phases::energy::run_skip(self, plan, &mut skip.last_flush);
-        self.close_slot();
     }
 
     /// Snapshot of the metrics so far: the metrics observer's counters

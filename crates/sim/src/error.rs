@@ -47,6 +47,8 @@ pub enum SimError {
         /// The offending value.
         value: f64,
     },
+    /// A CBR workload with a generation period of zero slots.
+    ZeroCbrPeriod,
 }
 
 impl fmt::Display for SimError {
@@ -76,6 +78,7 @@ impl fmt::Display for SimError {
                     "clock drift rate must be in [0, 1) slots/slot, got {value}"
                 )
             }
+            SimError::ZeroCbrPeriod => write!(f, "CBR period must be at least 1 slot"),
         }
     }
 }

@@ -1,9 +1,9 @@
-//! The time-skipping calendar: which future slot can anything happen in?
+//! The skip clock's calendar: which future slot can anything happen in?
 //!
-//! The sleep-sparse engine (PR 5) made each slot cheap; this module makes
-//! most slots *free*. A slot is **interesting** — must actually run the
-//! phase pipeline — only if something observable or RNG-consuming can
-//! occur in it:
+//! Plan rosters make each visited slot cheap; this calendar lets the
+//! engine's clock policy not visit most slots at all. A slot is
+//! **interesting** — must actually run the phase pipeline — only if
+//! something observable or RNG-consuming can occur in it:
 //!
 //! * a deterministic (CBR) traffic source generates, or saturated
 //!   broadcast has any scheduled transmitter (it always transmits);
@@ -15,16 +15,18 @@
 //! predicate (no crash plan, zero drift, zero sync-miss, no extra
 //! observers, CBR/saturated traffic) the pipeline provably consumes no
 //! randomness and emits no event there, and the only state change is
-//! energy — listeners idle-listen, everyone else sleeps — which the
-//! energy phase charges in bulk across the whole span. [`SkipState`]
-//! tracks the two sources of interesting slots:
+//! energy — listeners idle-listen, everyone else sleeps — which the clock
+//! settles in bulk across the whole span. The calendar only says *when*;
+//! every interesting slot runs the ordinary step over plan rosters, with
+//! the energy phase in sleep-debt mode. [`SkipState`] tracks the two
+//! sources of interesting slots:
 //!
 //! * the deterministic traffic calendar, computed in O(1) from the CBR
 //!   residue arithmetic (or the [`ActiveSlots::tx_busy`] occurrence list
 //!   for saturated mode);
 //! * a calendar queue (min-heap) of **pending transmitters**: every live
 //!   node with a nonempty queue is armed at its next scheduled transmit
-//!   occurrence. Nodes are re-armed after each stepped slot (roster
+//!   occurrence. Nodes are re-armed after each visited slot (roster
 //!   transmitters that still hold packets, plus the slot's generators),
 //!   so the invariant "backlogged ⇒ in the heap" holds throughout; a
 //!   slot the calendar does not name therefore has provably idle
@@ -34,8 +36,9 @@
 //!
 //! Fault transitions never enter the calendar because the eligibility
 //! predicate excludes crash plans outright, and battery-depletion
-//! horizons are handled by the engine's epoch loop (which bounds each
-//! skip window so no node can die inside it) rather than as point events.
+//! horizons are handled by the clock's epoch loop (which bounds each
+//! skip window so no node can die inside it, and visits every slot once
+//! a death is imminent) rather than as point events.
 
 use crate::plan::{ActiveSlots, SlotPlan};
 use crate::traffic::{Packet, TrafficPattern};
@@ -43,10 +46,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
-/// The calendar-queue state for one [`run_skipping`] invocation, cached
-/// and buffer-reused across runs like the [`SlotPlan`].
+/// The calendar-queue state for one skip-clock run, cached and
+/// buffer-reused across [`run`] calls like the [`SlotPlan`].
 ///
-/// [`run_skipping`]: crate::Simulator::run_skipping
+/// [`run`]: crate::Simulator::run
 #[derive(Debug, Default)]
 pub(crate) struct SkipState {
     /// Inverted per-frame occurrence summaries (listener-busy slots,
@@ -83,7 +86,7 @@ impl SkipState {
         self.resettle(now, queues, dead);
     }
 
-    /// Re-synchronises after slots ran outside the skip loop (a sparse
+    /// Re-synchronises after slots ran outside the skip loop (a stepped
     /// battery window, or run entry): the ledger is settled at `now` and
     /// the heap is reseeded from scratch (packets may have been generated
     /// or dropped, nodes may have died).

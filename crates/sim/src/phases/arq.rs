@@ -8,39 +8,11 @@
 use crate::engine::Simulator;
 use crate::observer::SlotEvent;
 
+/// Only this slot's actual transmitters can hold an unacknowledged hop
+/// (`tx_queue_idx` is set at election and cleared on delivery), so the
+/// pass walks the engine's ascending `active_tx` roster; queue indices
+/// left over on nodes not elected this slot are never read.
 pub(crate) fn run(sim: &mut Simulator) {
-    let Some(limit) = sim.faults.plan().max_retries else {
-        return;
-    };
-    let n = sim.topo.num_nodes();
-    for v in 0..n {
-        let qi = sim.tx_queue_idx[v];
-        if qi == usize::MAX {
-            continue; // no queued transmission, or the hop succeeded
-        }
-        retry(sim, v, qi, limit);
-    }
-}
-
-/// Burns one retry on `v`'s in-flight packet, abandoning it past the
-/// budget — shared by the dense and sparse passes.
-#[inline]
-fn retry(sim: &mut Simulator, v: usize, qi: usize, limit: u32) {
-    let pkt = &mut sim.queues[v][qi];
-    pkt.retries += 1;
-    if pkt.retries > limit {
-        sim.queues[v].remove(qi);
-        sim.emit(SlotEvent::RetryExhausted { node: v });
-    }
-}
-
-/// The sleep-sparse ARQ pass: only this slot's actual transmitters can
-/// hold an unacknowledged hop (`tx_queue_idx` is set at election and
-/// cleared on delivery), so the scan walks the engine's `active_tx`
-/// roster — ascending, like the dense node loop — instead of all `n`
-/// nodes. Stale queue indices on nodes *not* elected this slot are never
-/// read here, matching the dense scan where election resets them all.
-pub(crate) fn run_sparse(sim: &mut Simulator) {
     let Some(limit) = sim.faults.plan().max_retries else {
         return;
     };
@@ -50,6 +22,11 @@ pub(crate) fn run_sparse(sim: &mut Simulator) {
         if qi == usize::MAX {
             continue; // the hop was acknowledged in delivery
         }
-        retry(sim, v, qi, limit);
+        let pkt = &mut sim.queues[v][qi];
+        pkt.retries += 1;
+        if pkt.retries > limit {
+            sim.queues[v].remove(qi);
+            sim.emit(SlotEvent::RetryExhausted { node: v });
+        }
     }
 }

@@ -9,24 +9,30 @@
 
 use crate::channel::{LinkFading, Reception};
 use crate::engine::Simulator;
-use crate::mac::MacProtocol;
 use crate::observer::SlotEvent;
-use crate::plan::SlotPlan;
 use rand::Rng;
 
-pub(crate) fn run(sim: &mut Simulator, mac: &dyn MacProtocol) {
-    let n = sim.topo.num_nodes();
+/// Walks the slot's scheduled listeners (ascending). Every node outside
+/// the roster would fail the `may_receive` gate before its sync-miss
+/// draw, so visiting only the roster consumes the same randomness.
+/// Receptions resolve against the actual-transmitter word mask the
+/// election phase left behind.
+pub(crate) fn run(sim: &mut Simulator, listeners: &[u32]) {
     let saturated = sim.pattern.is_saturated();
     let miss = sim.config.miss_probability;
     let lossy_links = sim.faults.plan().has_link_loss();
     sim.successes.clear();
+    // Clear the previous slot's listen flags roster-wise.
+    for i in 0..sim.active_rx.len() {
+        let prev = sim.active_rx[i];
+        sim.listening[prev] = false;
+    }
     sim.active_rx.clear();
-    for y in 0..n {
-        sim.listening[y] = false;
+    for &y in listeners {
+        let y = y as usize;
         if sim.dead[y]
             || sim.faults.is_crashed(y)
             || sim.transmitting[y]
-            || !mac.may_receive(y, sim.perceived[y])
             || (miss > 0.0 && sim.rng.gen_bool(miss))
         {
             continue;
@@ -35,15 +41,21 @@ pub(crate) fn run(sim: &mut Simulator, mac: &dyn MacProtocol) {
         sim.active_rx.push(y);
         let reception = {
             let mut fading = LinkFading::new(&mut sim.faults, lossy_links);
-            sim.channel
-                .resolve(y, sim.slot, &sim.topo, &sim.transmitting, &mut fading)
+            sim.channel.resolve(
+                y,
+                sim.slot,
+                &sim.topo,
+                &sim.transmitting,
+                &sim.tx_mask,
+                &mut fading,
+            )
         };
         settle(sim, y, saturated, reception);
     }
 }
 
 /// Applies one listener's resolved reception to the metrics and the
-/// success list — shared verbatim by the dense and sparse scans.
+/// success list.
 #[inline]
 fn settle(sim: &mut Simulator, y: usize, saturated: bool, reception: Reception) {
     match reception {
@@ -63,50 +75,5 @@ fn settle(sim: &mut Simulator, y: usize, saturated: bool, reception: Reception) 
                 }
             }
         }
-    }
-}
-
-/// The sleep-sparse listen scan: identical gates and draws to [`run`],
-/// but only `plan`'s listener roster for this slot is visited (every node
-/// outside it fails the `may_receive` gate before its sync-miss draw, so
-/// skipping them consumes no randomness), and receptions resolve through
-/// [`ChannelModel::resolve_masked`](crate::ChannelModel::resolve_masked)
-/// — for the ideal channel that intersects `neighbors(y)` against the
-/// actual-transmitter word mask instead of filtering all candidates.
-pub(crate) fn run_sparse(sim: &mut Simulator, plan: &SlotPlan) {
-    let saturated = sim.pattern.is_saturated();
-    let miss = sim.config.miss_probability;
-    let lossy_links = sim.faults.plan().has_link_loss();
-    sim.successes.clear();
-    // Clear the previous slot's listen flags roster-wise.
-    for i in 0..sim.active_rx.len() {
-        let prev = sim.active_rx[i];
-        sim.listening[prev] = false;
-    }
-    sim.active_rx.clear();
-    let si = plan.slot_index(sim.slot);
-    for &y in plan.listeners(si) {
-        let y = y as usize;
-        if sim.dead[y]
-            || sim.faults.is_crashed(y)
-            || sim.transmitting[y]
-            || (miss > 0.0 && sim.rng.gen_bool(miss))
-        {
-            continue;
-        }
-        sim.listening[y] = true;
-        sim.active_rx.push(y);
-        let reception = {
-            let mut fading = LinkFading::new(&mut sim.faults, lossy_links);
-            sim.channel.resolve_masked(
-                y,
-                sim.slot,
-                &sim.topo,
-                &sim.transmitting,
-                &sim.tx_mask,
-                &mut fading,
-            )
-        };
-        settle(sim, y, saturated, reception);
     }
 }

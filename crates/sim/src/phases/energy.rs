@@ -13,20 +13,71 @@ use crate::engine::Simulator;
 use crate::observer::SlotEvent;
 use crate::plan::SlotPlan;
 
-pub(crate) fn run(sim: &mut Simulator) {
+/// Walks the slot's awake roster. Each awake node is charged for the
+/// radio state its flags record (a roster node can still have slept:
+/// crashed, missed sync, or lost the p-persistence roll).
+///
+/// Everyone else sleeps, and how that sleep is paid depends on the clock:
+///
+/// * `sleep_debt: None` (every slot visited) — the index gaps between
+///   awake nodes are charged the sleep floor now, interleaved with the
+///   roster so `NodeDied` emission stays ascending in the node index.
+///   Without a battery nothing can die, so each gap is one bulk range
+///   sweep with the same per-node `+= sleep_mj`;
+/// * `sleep_debt: Some(last_flush)` (the skip clock) — sleepers are left
+///   to their debt counters; an awake node first settles its unflushed
+///   sleep debt through the bit-exact bulk charge, so per node the `f64`
+///   addition sequence is exactly the slot-by-slot one. The clock's
+///   battery epochs guarantee nobody depletes while debt is outstanding.
+pub(crate) fn run(sim: &mut Simulator, awake: &[u32], mut sleep_debt: Option<&mut [u64]>) {
     let n = sim.topo.num_nodes();
-    for v in 0..n {
-        if sim.dead[v] {
+    let sleep_mj = sim.config.energy.slot_energy_mj(RadioState::Sleep);
+    let mut next = 0usize;
+    for &a in awake {
+        let a = a as usize;
+        if sleep_debt.is_none() {
+            charge_sleepers(sim, sleep_mj, next..a);
+        }
+        next = a + 1;
+        if sim.dead[a] {
             continue;
         }
-        let state = if sim.transmitting[v] {
+        if let Some(last_flush) = sleep_debt.as_deref_mut() {
+            let debt = sim.slot - last_flush[a];
+            if debt > 0 {
+                sim.energy.charge_sleep_slots(sleep_mj, a, debt);
+            }
+            last_flush[a] = sim.slot + 1;
+        }
+        let state = if sim.transmitting[a] {
             RadioState::Transmit
-        } else if sim.listening[v] {
+        } else if sim.listening[a] {
             RadioState::Listen
         } else {
             RadioState::Sleep
         };
-        sim.energy.record(&sim.config.energy, v, state);
+        sim.energy.record(&sim.config.energy, a, state);
+        charge_battery(sim, a);
+    }
+    if sleep_debt.is_none() {
+        charge_sleepers(sim, sleep_mj, next..n);
+    }
+}
+
+/// Charges one slot of sleep to every live node in `range`.
+#[inline]
+fn charge_sleepers(sim: &mut Simulator, sleep_mj: f64, range: std::ops::Range<usize>) {
+    if sim.config.battery_capacity_mj.is_none() {
+        // `dead` is set nowhere but the depletion check, so without a
+        // battery every node is live and the gap is two array sweeps.
+        sim.energy.charge_sleep_range(sleep_mj, range);
+        return;
+    }
+    for v in range {
+        if sim.dead[v] {
+            continue;
+        }
+        sim.energy.record(&sim.config.energy, v, RadioState::Sleep);
         charge_battery(sim, v);
     }
 }
@@ -40,115 +91,6 @@ fn charge_battery(sim: &mut Simulator, v: usize) {
             sim.dead[v] = true;
             sim.emit(SlotEvent::NodeDied { node: v });
         }
-    }
-}
-
-/// The sleep-sparse energy pass: identical charges to [`run`], but the
-/// per-node radio-state branch only runs for `plan`'s awake roster. The
-/// walk advances through the roster and charges every index gap — nodes
-/// the schedule guarantees asleep — with the sleep floor directly, no
-/// flag reads. Interleaving gaps with roster entries (rather than two
-/// separate loops) keeps `NodeDied` emission ascending in the node
-/// index, exactly like the dense scan. When no battery capacity is
-/// configured the gap charges additionally drop the per-node death
-/// checks and go through the bulk range sweep (nothing can die, so the
-/// checks are statically dead).
-pub(crate) fn run_sparse(sim: &mut Simulator, plan: &SlotPlan) {
-    let n = sim.topo.num_nodes();
-    let si = plan.slot_index(sim.slot);
-    if sim.config.battery_capacity_mj.is_none() {
-        // Without a battery cap no node ever dies (`dead` is set nowhere
-        // but the depletion check), so every gap charge reduces to the
-        // same two array bumps — take them in bulk per gap instead of a
-        // guarded call per node. The per-node f64 work is unchanged (one
-        // `+= sleep_mj` per slot, same order), so reports stay
-        // bit-identical; this is what makes the sparse energy pass cheap
-        // when nearly everyone sleeps.
-        let sleep_mj = sim.config.energy.slot_energy_mj(RadioState::Sleep);
-        let mut next = 0usize;
-        for &a in plan.awake(si) {
-            let a = a as usize;
-            sim.energy.charge_sleep_range(sleep_mj, next..a);
-            next = a + 1;
-            // A roster node can still have slept: crashed, missed sync,
-            // or lost the p-persistence roll — the flags decide.
-            let state = if sim.transmitting[a] {
-                RadioState::Transmit
-            } else if sim.listening[a] {
-                RadioState::Listen
-            } else {
-                RadioState::Sleep
-            };
-            sim.energy.record(&sim.config.energy, a, state);
-        }
-        sim.energy.charge_sleep_range(sleep_mj, next..n);
-        return;
-    }
-    let mut next = 0usize;
-    for &a in plan.awake(si) {
-        let a = a as usize;
-        for v in next..a {
-            if sim.dead[v] {
-                continue;
-            }
-            sim.energy.record(&sim.config.energy, v, RadioState::Sleep);
-            charge_battery(sim, v);
-        }
-        next = a + 1;
-        if sim.dead[a] {
-            continue;
-        }
-        // A roster node can still have slept: crashed, missed sync, or
-        // lost the p-persistence roll — the flags decide, as in `run`.
-        let state = if sim.transmitting[a] {
-            RadioState::Transmit
-        } else if sim.listening[a] {
-            RadioState::Listen
-        } else {
-            RadioState::Sleep
-        };
-        sim.energy.record(&sim.config.energy, a, state);
-        charge_battery(sim, a);
-    }
-    for v in next..n {
-        if sim.dead[v] {
-            continue;
-        }
-        sim.energy.record(&sim.config.energy, v, RadioState::Sleep);
-        charge_battery(sim, v);
-    }
-}
-
-/// The time-skipping energy pass for a *stepped* slot: touches only the
-/// awake roster. Each awake node first settles its unflushed sleep debt —
-/// every uncharged slot of a live node in skip mode is a guaranteed sleep
-/// — via the bit-exact bulk charge, then records this slot's actual radio
-/// state. Per node the resulting `f64` addition sequence is exactly what
-/// the dense scan would have produced, in the same order; sleeping
-/// non-roster nodes are left to their debt counters. No battery checks:
-/// the engine's epoch bounds guarantee nobody can deplete inside a skip
-/// window.
-pub(crate) fn run_skip(sim: &mut Simulator, plan: &SlotPlan, last_flush: &mut [u64]) {
-    let si = plan.slot_index(sim.slot);
-    let sleep_mj = sim.config.energy.slot_energy_mj(RadioState::Sleep);
-    for &a in plan.awake(si) {
-        let a = a as usize;
-        if sim.dead[a] {
-            continue;
-        }
-        let debt = sim.slot - last_flush[a];
-        if debt > 0 {
-            sim.energy.charge_sleep_slots(sleep_mj, a, debt);
-        }
-        let state = if sim.transmitting[a] {
-            RadioState::Transmit
-        } else if sim.listening[a] {
-            RadioState::Listen
-        } else {
-            RadioState::Sleep
-        };
-        sim.energy.record(&sim.config.energy, a, state);
-        last_flush[a] = sim.slot + 1;
     }
 }
 

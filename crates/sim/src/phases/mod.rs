@@ -1,7 +1,8 @@
 //! The slot-phase pipeline.
 //!
-//! One simulated slot is seven phases, run in fixed order by
-//! [`Simulator::step`](crate::Simulator::step):
+//! One simulated slot is seven phases, run in fixed order for every slot
+//! the engine visits ([`Simulator::step`](crate::Simulator::step) and
+//! [`Simulator::run`](crate::Simulator::run) alike):
 //!
 //! 1. [`faults`] — crash/recovery transitions and clock-drift accrual;
 //! 2. [`traffic`] — workload packet generation;
@@ -13,24 +14,26 @@
 //! 6. [`arq`] — the bounded link-layer retry pass;
 //! 7. [`energy`] — radio-state accounting and battery death.
 //!
-//! Each phase is a free function over the engine state; anything
-//! observable is announced as a [`SlotEvent`](crate::SlotEvent) rather
-//! than recorded inline. Phases communicate only through per-slot scratch
-//! on the `Simulator` (`transmitting`, `listening`, `tx_queue_idx`,
-//! `successes`, the `active_tx`/`active_rx` rosters with the `tx_mask`
-//! word mask, and the hoisted `perceived` slot table — each node's
-//! drift-perceived slot is computed once per slot, between the fault and
-//! traffic phases, instead of once per consulting phase), all
-//! pre-allocated — the steady-state step loop performs zero heap
-//! allocations (asserted by `bench_sim`).
+//! Each phase is a free function over the engine state and the slot's
+//! rosters; anything observable is announced as a
+//! [`SlotEvent`](crate::SlotEvent) rather than recorded inline. Election,
+//! channel and energy walk the ascending transmitter, listener and awake
+//! rosters the engine hands in — the slot's `(T_i, R_i)` pair — and never
+//! scan all `n` nodes for the schedule; ARQ walks the actual transmitters.
+//! Where the rosters come from (the cached frame-periodic
+//! [`SlotPlan`](crate::SlotPlan), or a per-slot refill from each node's
+//! perceived slot) and which slots are visited at all (every slot, or the
+//! skip clock's calendar) is the engine's business, not the phases': one
+//! phase implementation serves every roster source and clock. The only
+//! clock-dependent knob is the energy phase's sleep-debt mode, in which
+//! sleepers accrue debt that the skip clock settles in bulk.
 //!
-//! The election, channel, ARQ, and energy phases each also ship a
-//! `run_sparse` twin driven by a [`SlotPlan`](crate::SlotPlan): same
-//! decisions and draws, but iterating only the slot's scheduled rosters.
-//! [`Simulator::run`](crate::Simulator::run) dispatches whole runs to the
-//! sparse pipeline when the MAC is frame-periodic and clock drift is off;
-//! the golden fixtures and the sparse/dense equivalence proptest pin the
-//! two pipelines bit-identical.
+//! Phases communicate only through per-slot scratch on the `Simulator`
+//! (`transmitting`, `listening`, `tx_queue_idx`, `successes`, the
+//! `active_tx`/`active_rx` rosters of actual transmitters and listeners
+//! with the `tx_mask` word mask), all pre-allocated — the steady-state
+//! step loop performs zero heap allocations (asserted by
+//! `tests/alloc_audit.rs`).
 //!
 //! **RNG-draw-order compatibility rule** (see `DESIGN.md`): phases consume
 //! the main RNG stream in pipeline order, node-index order within a phase,

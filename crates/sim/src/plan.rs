@@ -1,117 +1,95 @@
-//! Precomputed per-frame slot rosters: the sleep-sparse fast path.
+//! Slot rosters: who the schedule wakes in a slot, as ascending node lists.
 //!
-//! The paper's whole point is that under an `(α_T, α_R)`-schedule almost
-//! every node sleeps in almost every slot — yet a dense slot loop still
-//! pays O(n) per slot asking every node "are you scheduled?". For a MAC
-//! that is genuinely periodic ([`MacProtocol::frame_periodic`]), the
-//! answer for slot `s` depends only on `s mod L`, so it can be asked once
-//! per frame slot at construction time instead of once per node per
-//! simulated slot. [`SlotPlan`] caches, for each of the `L` frame slots:
+//! The paper models a slot as a pair `(T_i, R_i)`: at most `α_T`
+//! transmitters and `α_R` receivers, every other node asleep. The engine
+//! runs every visited slot over exactly that view — a `PlanSlot` holding
+//! the ascending **transmitter**, **listener** and **awake** (`tx ∪ rx`)
+//! lists — so election, channel and ARQ touch only scheduled nodes and the
+//! energy phase charges the index gaps between awake nodes as sleep in
+//! bulk. A roster has two sources:
 //!
-//! * the ascending list of scheduled **transmitters** (election iterates
-//!   only these),
-//! * the ascending list of scheduled **listeners** (the channel phase
-//!   iterates only these), plus the same set as a word-level [`BitSet`]
-//!   (the schedule-aware sender probe becomes one bit test instead of a
-//!   virtual `may_receive` call),
-//! * the ascending **awake** union and the **sleeper** complement (the
-//!   energy phase charges sleep for the gaps between awake nodes in bulk
-//!   instead of branching per node),
-//! * the scheduled-transmitter set as a [`BitSet`] (the word-mask that
-//!   seeds channel resolution; the engine intersects the *actual*
-//!   transmitter mask against neighbourhoods word by word).
+//! * **the plan** — for a MAC that is genuinely periodic
+//!   ([`MacProtocol::frame_periodic`]) and clocks that do not drift, slot
+//!   `s`'s rosters are frame slot `s mod L`'s, so [`SlotPlan`] asks the MAC
+//!   once per frame slot and the engine borrows the answer every frame;
+//! * **per slot** — under clock drift each node consults the schedule at
+//!   its own perceived slot, and a non-periodic MAC (the asynchronous
+//!   random-wakeup baseline) answers differently every slot, so the engine
+//!   refills one reused `PlanSlot` from every node's answer.
 //!
 //! Node indices are stored as `u32` — half the cache traffic of `usize`
 //! on 64-bit hosts, and the engine caps node counts far below 2³².
 //!
-//! Rosters are filled **lazily**, one frame slot on first visit
+//! Plan rosters are filled **lazily**, one frame slot on first visit
 //! ([`SlotPlan::ensure_filled`]): duty-cycled frames grow superlinearly in
 //! `n` (a TTDC frame at `n = 256` is ~50 000 slots), so filling all `L`
-//! slots eagerly would cost `L·n` schedule probes up front and megabytes
-//! of rosters for slots a short run never reaches. Memory and fill work
-//! are bounded by the slots actually visited (at most `L`).
-//!
-//! The engine keeps one plan cached and *rebuilds it in place* at the
-//! start of every sparse [`run`](crate::Simulator::run): rebuilding only
+//! slots eagerly would cost `L·n` schedule probes up front for slots a
+//! short run never reaches. The engine keeps one plan cached and
+//! *rebuilds it in place* at the start of every [`run`]: rebuilding only
 //! resets the validity watermark and refilling a slot clears and repushes
 //! into retained buffers, so repeated runs under the same MAC never
 //! allocate once capacities have grown (the steady-state allocation audit
-//! in `bench_sim` covers the sparse path).
+//! in `tests/alloc_audit.rs` covers every roster source).
 //!
 //! [`MacProtocol::frame_periodic`]: crate::MacProtocol::frame_periodic
+//! [`run`]: crate::Simulator::run
 
 use crate::mac::MacProtocol;
-use ttdc_util::BitSet;
 
-/// One frame slot's rosters (see the module docs).
-#[derive(Clone, Debug)]
-struct PlanSlot {
+/// One slot's rosters (see the module docs).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PlanSlot {
     /// Scheduled transmitters, ascending.
-    tx: Vec<u32>,
+    pub(crate) tx: Vec<u32>,
     /// Scheduled listeners, ascending.
-    rx: Vec<u32>,
+    pub(crate) rx: Vec<u32>,
     /// `tx ∪ rx`, ascending (the sets may overlap: contention MACs are
     /// awake for both).
-    awake: Vec<u32>,
-    /// The complement of `awake`, ascending — every node guaranteed
-    /// asleep this frame slot.
-    sleepers: Vec<u32>,
-    /// `tx` as a word mask.
-    tx_mask: BitSet,
-    /// `rx` as a word mask.
-    rx_mask: BitSet,
+    pub(crate) awake: Vec<u32>,
 }
 
 impl PlanSlot {
-    fn empty(n: usize) -> PlanSlot {
+    /// Empty rosters with room for all `n` nodes, so per-slot refills
+    /// never allocate.
+    pub(crate) fn with_capacity(n: usize) -> PlanSlot {
         PlanSlot {
-            tx: Vec::new(),
-            rx: Vec::new(),
-            awake: Vec::new(),
-            sleepers: Vec::new(),
-            tx_mask: BitSet::new(n),
-            rx_mask: BitSet::new(n),
+            tx: Vec::with_capacity(n),
+            rx: Vec::with_capacity(n),
+            awake: Vec::with_capacity(n),
         }
     }
 
-    /// Refills the rosters from the MAC's answers at frame slot `i`,
-    /// reusing every buffer (no allocation once capacities have grown).
-    fn refill(&mut self, mac: &dyn MacProtocol, n: usize, i: usize) {
+    /// Refills the rosters from the MAC's answers, consulting node `v` at
+    /// slot `slot_of(v)`, reusing every buffer.
+    pub(crate) fn refill(
+        &mut self,
+        mac: &dyn MacProtocol,
+        n: usize,
+        slot_of: impl Fn(usize) -> u64,
+    ) {
         self.tx.clear();
         self.rx.clear();
         self.awake.clear();
-        self.sleepers.clear();
-        if self.tx_mask.universe() == n {
-            self.tx_mask.clear();
-            self.rx_mask.clear();
-        } else {
-            self.tx_mask = BitSet::new(n);
-            self.rx_mask = BitSet::new(n);
-        }
-        let slot = i as u64;
         for v in 0..n {
+            let slot = slot_of(v);
             let t = mac.may_transmit(v, slot);
             let r = mac.may_receive(v, slot);
             if t {
                 self.tx.push(v as u32);
-                self.tx_mask.insert(v);
             }
             if r {
                 self.rx.push(v as u32);
-                self.rx_mask.insert(v);
             }
             if t || r {
                 self.awake.push(v as u32);
-            } else {
-                self.sleepers.push(v as u32);
             }
         }
     }
 }
 
 /// Per-frame slot rosters for a periodic MAC over `n` nodes — built once
-/// per `(schedule, n)` pair, consulted every simulated slot by the
-/// sleep-sparse step (see the module docs).
+/// per `(schedule, n)` pair, borrowed by every slot the engine visits
+/// under that MAC (see the module docs).
 #[derive(Clone, Debug)]
 pub struct SlotPlan {
     frame_len: usize,
@@ -150,7 +128,7 @@ impl SlotPlan {
     /// roster buffers. When the MAC and `n` are unchanged each refill
     /// pushes exactly the previous element counts, so no buffer grows and
     /// nothing allocates — this is what keeps repeated
-    /// [`Simulator::run`](crate::Simulator::run) calls on the sparse path
+    /// [`Simulator::run`](crate::Simulator::run) calls over plan rosters
     /// heap-silent.
     pub fn rebuild(&mut self, mac: &dyn MacProtocol, n: usize) {
         let frame = mac.frame_length();
@@ -175,9 +153,10 @@ impl SlotPlan {
         debug_assert!(i < self.frame_len);
         while self.valid <= i {
             if self.slots.len() == self.valid {
-                self.slots.push(PlanSlot::empty(self.n));
+                self.slots.push(PlanSlot::default());
             }
-            self.slots[self.valid].refill(mac, self.n, self.valid);
+            let i = self.valid as u64;
+            self.slots[self.valid].refill(mac, self.n, |_| i);
             self.valid += 1;
         }
     }
@@ -231,35 +210,14 @@ impl SlotPlan {
         &self.slots[i].awake
     }
 
-    /// Guaranteed sleepers of frame slot `i` (the awake complement),
-    /// ascending.
+    /// All three rosters of frame slot `i`.
     #[inline]
-    pub fn sleepers(&self, i: usize) -> &[u32] {
+    pub(crate) fn slot(&self, i: usize) -> &PlanSlot {
         debug_assert!(
             i < self.valid,
             "frame slot {i} not filled; call ensure_filled"
         );
-        &self.slots[i].sleepers
-    }
-
-    /// Scheduled transmitters of frame slot `i` as a word mask.
-    #[inline]
-    pub fn transmitter_mask(&self, i: usize) -> &BitSet {
-        debug_assert!(
-            i < self.valid,
-            "frame slot {i} not filled; call ensure_filled"
-        );
-        &self.slots[i].tx_mask
-    }
-
-    /// Scheduled listeners of frame slot `i` as a word mask.
-    #[inline]
-    pub fn listener_mask(&self, i: usize) -> &BitSet {
-        debug_assert!(
-            i < self.valid,
-            "frame slot {i} not filled; call ensure_filled"
-        );
-        &self.slots[i].rx_mask
+        &self.slots[i]
     }
 
     /// `true` once every frame slot is filled (the time-skipping engine
@@ -325,6 +283,7 @@ mod tests {
     use super::*;
     use crate::mac::ScheduleMac;
     use ttdc_core::Schedule;
+    use ttdc_util::BitSet;
 
     fn mac3() -> ScheduleMac {
         // Frame of 2 over 5 nodes: slot 0 tx {0, 3} rx {1}; slot 1 tx {2}
@@ -344,29 +303,18 @@ mod tests {
         assert_eq!(plan.transmitters(0), &[0, 3]);
         assert_eq!(plan.listeners(0), &[1]);
         assert_eq!(plan.awake(0), &[0, 1, 3]);
-        assert_eq!(plan.sleepers(0), &[2, 4]);
         assert_eq!(plan.transmitters(1), &[2]);
         assert_eq!(plan.listeners(1), &[0, 4]);
         assert_eq!(plan.awake(1), &[0, 2, 4]);
-        assert_eq!(plan.sleepers(1), &[1, 3]);
         // Absolute slots wrap into the frame.
         assert_eq!(plan.slot_index(0), 0);
         assert_eq!(plan.slot_index(7), 1);
-        // Masks agree with the lists, and awake/sleepers partition [0, n).
-        for i in 0..2 {
-            let tx: Vec<u32> = plan.transmitter_mask(i).iter().map(|v| v as u32).collect();
-            assert_eq!(tx, plan.transmitters(i));
-            let rx: Vec<u32> = plan.listener_mask(i).iter().map(|v| v as u32).collect();
-            assert_eq!(rx, plan.listeners(i));
-            let mut all: Vec<u32> = plan
-                .awake(i)
-                .iter()
-                .chain(plan.sleepers(i))
-                .copied()
-                .collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..5).collect::<Vec<u32>>());
-        }
+        // A per-slot refill at the same slot builds the same rosters.
+        let mut roster = PlanSlot::with_capacity(5);
+        roster.refill(&mac, 5, |_| 7);
+        assert_eq!(roster.tx, plan.transmitters(1));
+        assert_eq!(roster.rx, plan.listeners(1));
+        assert_eq!(roster.awake, plan.awake(1));
     }
 
     #[test]
@@ -388,9 +336,6 @@ mod tests {
             assert_eq!(reused.transmitters(i), fresh.transmitters(i));
             assert_eq!(reused.listeners(i), fresh.listeners(i));
             assert_eq!(reused.awake(i), fresh.awake(i));
-            assert_eq!(reused.sleepers(i), fresh.sleepers(i));
-            assert_eq!(reused.transmitter_mask(i), fresh.transmitter_mask(i));
-            assert_eq!(reused.listener_mask(i), fresh.listener_mask(i));
         }
     }
 

@@ -40,9 +40,9 @@ const GOLDEN_SEEDS: u64 = 32;
 const FIXTURE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden.txt");
 
 /// Pinned drift + crash scenarios — every one keeps clock drift active, so
-/// [`Simulator::run`] must take the dense fallback rather than the sparse
-/// slot-plan path (verified in-test by comparing against a forced
-/// [`Simulator::run_dense`]).
+/// [`Simulator::run`] must fall back from plan rosters to rosters refilled
+/// densely (every node, every slot) from each node's perceived slot
+/// (verified in-test by comparing against a loop of [`Simulator::step`]).
 const DRIFT_SEEDS: u64 = 16;
 
 const DRIFT_FIXTURE_PATH: &str = concat!(
@@ -165,10 +165,10 @@ fn scenario_fingerprint(seed: u64) -> String {
 }
 
 /// Runs the drift + crash scenario derived from `seed` through the
-/// dispatching `run()` *and* the forced dense scan, asserts they agree,
-/// and fingerprints the report. Clock drift is always on (and a crash
-/// model always installed), so these scenarios exercise exactly the
-/// sparse-ineligible corner the slot-plan dispatcher must refuse.
+/// dispatching `run()` *and* a loop of the reference `step()`, asserts
+/// they agree, and fingerprints the report. Clock drift is always on (and
+/// a crash model always installed), so these scenarios exercise exactly
+/// the corner where the cached slot plan is invalid.
 fn drift_scenario_fingerprint(seed: u64) -> String {
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xDF1F);
     let n = rng.gen_range(4usize..12);
@@ -233,11 +233,13 @@ fn drift_scenario_fingerprint(seed: u64) -> String {
     let fp = fingerprint(&dispatched.report());
 
     let mut forced = Simulator::new(topo, pattern, config);
-    forced.run_dense(&mac, slots);
+    for _ in 0..slots {
+        forced.step(&mac);
+    }
     assert_eq!(
         fp,
         fingerprint(&forced.report()),
-        "seed {seed}: under clock drift, run() must take the dense fallback"
+        "seed {seed}: under clock drift, run() must match the step() reference"
     );
     fp
 }
@@ -354,10 +356,11 @@ fn golden_fixtures_cover_every_pinned_seed() {
     check_family(FIXTURE_PATH, GOLDEN_SEEDS, scenario_fingerprint);
 }
 
-/// The drift + crash family: scenarios the sparse dispatcher must refuse.
-/// Each seed also cross-checks `run()` against a forced `run_dense()`
-/// inside `drift_scenario_fingerprint`, so a dispatcher that wrongly took
-/// the sparse path under drift fails here even before the fixture diff.
+/// The drift + crash family: scenarios whose rosters must be refilled per
+/// slot. Each seed also cross-checks `run()` against a `step()` loop
+/// inside `drift_scenario_fingerprint`, so a dispatcher that wrongly
+/// borrowed plan rosters under drift fails here even before the fixture
+/// diff.
 #[test]
 fn drift_crash_fixtures_pin_the_dense_fallback() {
     check_family(DRIFT_FIXTURE_PATH, DRIFT_SEEDS, drift_scenario_fingerprint);

@@ -1,47 +1,27 @@
-//! The sleep-sparse pipeline must be bit-identical to the dense scan.
+//! Plan rosters (sparse) and per-slot rosters (dense) must be
+//! bit-identical to the `step()` reference.
 //!
-//! [`Simulator::run`] dispatches eligible runs (frame-periodic MAC, zero
-//! clock drift) through the [`SlotPlan`]-driven sparse phases;
-//! [`Simulator::run_dense`] forces the historical all-nodes scan. The
-//! properties here pin the two paths to the same *full* [`SimReport`] —
-//! every counter, the per-node energy ledger, the latency histogram bit
-//! patterns, and the retained event trace — across random topologies,
-//! schedules, fault plans, and 1- vs 4-thread rayon pools.
+//! [`Simulator::run`] borrows each slot's rosters from the cached
+//! [`SlotPlan`](ttdc_sim::SlotPlan) when the MAC is frame-periodic and
+//! clock drift is off, and otherwise refills them every slot from every
+//! node's MAC answer at its perceived slot — the dense fallback.
+//! [`Simulator::step`] always refills, so a loop of `step()` calls is the
+//! reference. The properties here pin `run()` to the same *full*
+//! [`SimReport`] — every counter, the per-node energy ledger, the latency
+//! histogram bit patterns, and the retained event trace — across random
+//! topologies, schedules, fault plans, and 1- vs 4-thread rayon pools.
+//! The skip clock has its own suite (`skip_equivalence.rs`).
 
+mod common;
+
+use common::{arb_scenario, fresh, parallel_pool, sequential_pool, stepped};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use rayon::ThreadPool;
-use std::sync::OnceLock;
-use ttdc_core::Schedule;
 use ttdc_sim::{
-    CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimConfig, SimReport,
-    Simulator, Topology, TrafficPattern,
+    CrashModel, FaultPlan, GilbertElliott, MacProtocol, SimReport, Topology, TrafficPattern,
 };
-use ttdc_util::BitSet;
-
-fn sequential_pool() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-    })
-}
-
-fn parallel_pool() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-    })
-}
 
 /// A randomized [`FaultPlan`] spanning every axis *except* clock drift —
-/// drift is the dense-fallback trigger and gets its own property below.
+/// drift invalidates the plan and gets its own property below.
 fn arb_driftless_fault_plan() -> impl Strategy<Value = FaultPlan> {
     (
         prop_oneof![Just(0.0f64), 0.0f64..0.9],
@@ -66,34 +46,6 @@ fn arb_driftless_fault_plan() -> impl Strategy<Value = FaultPlan> {
         })
 }
 
-/// A random degree-capped topology with a random periodic schedule MAC —
-/// including duty-cycled slots where most (or all) nodes sleep.
-fn arb_scenario() -> impl Strategy<Value = (Topology, ScheduleMac)> {
-    (3usize..10).prop_flat_map(|n| {
-        let topo = (0u64..1000, 2usize..5).prop_map(move |(seed, dcap)| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            Topology::random_gnp_capped(n, 0.4, dcap, &mut rng)
-        });
-        let mac = prop::collection::vec(
-            (0u32..(1 << n), prop::bits::u32::masked((1 << n) - 1)),
-            1..6,
-        )
-        .prop_map(move |slots| {
-            let mut t = Vec::new();
-            let mut r = Vec::new();
-            for (tm, rm) in slots {
-                t.push(BitSet::from_iter(n, (0..n).filter(|&i| tm >> i & 1 == 1)));
-                r.push(BitSet::from_iter(
-                    n,
-                    (0..n).filter(|&i| rm >> i & 1 == 1 && tm >> i & 1 == 0),
-                ));
-            }
-            ScheduleMac::new("prop", Schedule::new(n, t, r))
-        });
-        (topo, mac)
-    })
-}
-
 fn arb_pattern() -> impl Strategy<Value = TrafficPattern> {
     prop_oneof![
         Just(TrafficPattern::SaturatedBroadcast),
@@ -102,28 +54,8 @@ fn arb_pattern() -> impl Strategy<Value = TrafficPattern> {
     ]
 }
 
-fn fresh(
-    topo: &Topology,
-    pattern: &TrafficPattern,
-    seed: u64,
-    faults: &FaultPlan,
-    battery: Option<f64>,
-) -> Simulator {
-    Simulator::new(
-        topo.clone(),
-        *pattern,
-        SimConfig {
-            seed,
-            faults: *faults,
-            trace_capacity: 64,
-            battery_capacity_mj: battery,
-            ..Default::default()
-        },
-    )
-}
-
-/// `run()` (sparse-dispatched) and `run_dense()` on identical inputs.
-fn both_reports(
+/// `run()` and the `step()` reference on identical inputs.
+fn run_and_reference(
     topo: &Topology,
     mac: &dyn MacProtocol,
     pattern: &TrafficPattern,
@@ -132,21 +64,22 @@ fn both_reports(
     battery: Option<f64>,
     slots: u64,
 ) -> (SimReport, SimReport) {
-    let mut sparse = fresh(topo, pattern, seed, faults, battery);
-    sparse.run(mac, slots);
-    let mut dense = fresh(topo, pattern, seed, faults, battery);
-    dense.run_dense(mac, slots);
-    (sparse.report(), dense.report())
+    let mut run = fresh(topo, pattern, seed, faults, battery, 0.0);
+    run.run(mac, slots);
+    let mut reference = fresh(topo, pattern, seed, faults, battery, 0.0);
+    stepped(&mut reference, mac, slots);
+    (run.report(), reference.report())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Zero drift + periodic MAC: the sparse pipeline engages and must
-    /// reproduce the dense report bit for bit, on a 1-thread and a
+    /// Zero drift + periodic MAC: `run()` borrows plan rosters (or, for
+    /// calendar-friendly configurations, runs the skip clock over them)
+    /// and must reproduce the reference bit for bit, on a 1-thread and a
     /// 4-thread rayon pool alike. The optional battery cap exercises both
-    /// tiers of the sparse energy pass (the bulk no-battery sweep and the
-    /// death-checked gap walk).
+    /// tiers of the energy gap charge (the bulk no-battery sweep and the
+    /// death-checked walk).
     #[test]
     fn sparse_path_is_bit_identical_to_dense(
         (topo, mac) in arb_scenario(),
@@ -157,37 +90,45 @@ proptest! {
         slots in 50u64..400,
     ) {
         prop_assert!(mac.frame_periodic(), "ScheduleMac wraps by definition");
-        let (sparse_seq, dense_seq) = sequential_pool()
-            .install(|| both_reports(&topo, &mac, &pattern, seed, &plan, battery, slots));
-        prop_assert_eq!(&sparse_seq, &dense_seq);
-        let (sparse_par, dense_par) = parallel_pool()
-            .install(|| both_reports(&topo, &mac, &pattern, seed, &plan, battery, slots));
-        prop_assert_eq!(&sparse_par, &dense_par);
+        let (run_seq, ref_seq) = sequential_pool()
+            .install(|| run_and_reference(&topo, &mac, &pattern, seed, &plan, battery, slots));
+        prop_assert_eq!(&run_seq, &ref_seq);
+        let (run_par, ref_par) = parallel_pool()
+            .install(|| run_and_reference(&topo, &mac, &pattern, seed, &plan, battery, slots));
+        prop_assert_eq!(&run_par, &ref_par);
         // Pool size must not matter either.
-        prop_assert_eq!(&sparse_seq, &sparse_par);
+        prop_assert_eq!(&run_seq, &run_par);
         // The trace really was compared, not disabled on both sides.
-        prop_assert!(sparse_seq.trace.enabled());
+        prop_assert!(run_seq.trace.enabled());
     }
 
-    /// With clock drift active the dispatcher must fall back to the dense
-    /// scan — `run()` and `run_dense()` stay interchangeable.
+    /// With clock drift active the plan is invalid and `run()` must fall
+    /// back to per-slot rosters built from each node's perceived slot —
+    /// under Poisson traffic and under the CBR calendar alike.
     #[test]
     fn drift_falls_back_to_dense(
         (topo, mac) in arb_scenario(),
         drift in 0.001f64..0.4,
+        cbr in any::<bool>(),
         seed in 0u64..300,
         slots in 50u64..300,
     ) {
         let plan = FaultPlan::none().with_drift(drift);
-        let pattern = TrafficPattern::PoissonUnicast { rate: 0.1 };
-        let (via_run, via_dense) = both_reports(&topo, &mac, &pattern, seed, &plan, None, slots);
-        prop_assert_eq!(via_run, via_dense);
+        let pattern = if cbr {
+            TrafficPattern::CbrUnicast { period: 5 }
+        } else {
+            TrafficPattern::PoissonUnicast { rate: 0.1 }
+        };
+        let (via_run, reference) =
+            run_and_reference(&topo, &mac, &pattern, seed, &plan, None, slots);
+        prop_assert_eq!(via_run, reference);
     }
 
-    /// Mode transitions on one simulator: a dense segment followed by a
-    /// sparse segment (and the reverse) must equal one uninterrupted run —
-    /// the per-slot scratch (`transmitting`/`listening` flags, rosters,
-    /// word mask, queue indices) survives the handoff in both directions.
+    /// Mode transitions on one simulator: a `step()` segment followed by
+    /// a `run()` segment (and the reverse) must equal one uninterrupted
+    /// reference — the per-slot scratch (`transmitting`/`listening`
+    /// flags, actual-transmitter rosters, word mask, queue indices)
+    /// survives the handoff in both directions.
     #[test]
     fn chunked_mode_transitions_match_single_run(
         (topo, mac) in arb_scenario(),
@@ -197,18 +138,18 @@ proptest! {
         second in 20u64..150,
     ) {
         let pattern = TrafficPattern::PoissonUnicast { rate: 0.1 };
-        let mut whole = fresh(&topo, &pattern, seed, &plan, None);
-        whole.run_dense(&mac, first + second);
+        let mut whole = fresh(&topo, &pattern, seed, &plan, None, 0.0);
+        stepped(&mut whole, &mac, first + second);
         let whole = whole.report();
 
-        let mut dense_then_sparse = fresh(&topo, &pattern, seed, &plan, None);
-        dense_then_sparse.run_dense(&mac, first);
-        dense_then_sparse.run(&mac, second);
-        prop_assert_eq!(&dense_then_sparse.report(), &whole);
+        let mut step_then_run = fresh(&topo, &pattern, seed, &plan, None, 0.0);
+        stepped(&mut step_then_run, &mac, first);
+        step_then_run.run(&mac, second);
+        prop_assert_eq!(&step_then_run.report(), &whole);
 
-        let mut sparse_then_dense = fresh(&topo, &pattern, seed, &plan, None);
-        sparse_then_dense.run(&mac, first);
-        sparse_then_dense.run_dense(&mac, second);
-        prop_assert_eq!(&sparse_then_dense.report(), &whole);
+        let mut run_then_step = fresh(&topo, &pattern, seed, &plan, None, 0.0);
+        run_then_step.run(&mac, first);
+        stepped(&mut run_then_step, &mac, second);
+        prop_assert_eq!(&run_then_step.report(), &whole);
     }
 }
