@@ -10,11 +10,13 @@ use ttdc_core::analysis::optimality_ratio;
 use ttdc_core::bounds::alpha_bound;
 use ttdc_core::latency::{average_access_delay, worst_case_access_delay};
 use ttdc_core::requirements::{requirement3_violation, spot_check_topology_transparent};
+use ttdc_core::synth::campaign::SynthCampaign;
+use ttdc_core::synth::catalog::Admission;
 use ttdc_core::synth::search::SearchOptions;
 use ttdc_core::synth::{catalog, synthesize, SynthOptions, SynthProblem, VerifyCache};
 use ttdc_core::throughput::{average_throughput, min_throughput};
-use ttdc_core::tsma::{build, build_duty_cycled, SourceKind};
-use ttdc_core::{construct, io as sched_io, PartitionStrategy, Schedule};
+use ttdc_core::tsma::{build, SourceKind};
+use ttdc_core::{construct, io as sched_io, Schedule};
 use ttdc_experiments::GridScenario;
 use ttdc_sim::campaign::{
     manifest_overview, CampaignOptions, ResumeMode, MERGED_FILE, SUMMARY_FILE,
@@ -442,77 +444,23 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
                     .install(|| synthesize(&p, &opts)),
                 None => synthesize(&p, &opts),
             };
-            let fig2 = build_duty_cycled(
-                *nodes,
-                *degree,
-                *alpha_t,
-                *alpha_r,
-                PartitionStrategy::RoundRobin,
-            )
-            .schedule
-            .frame_length();
-            let l = outcome.schedule.frame_length();
-            writeln!(
-                out,
-                "synth    : L = {l} ({}), {} nodes expanded, {} pruned{}",
-                if outcome.stats.exact {
-                    "proven optimal"
+            let entry = catalog::CatalogEntry {
+                problem: p,
+                fingerprint: outcome.fingerprint,
+                schedule: outcome.schedule,
+                exact: outcome.stats.exact,
+                nodes: outcome.stats.nodes,
+                source: if outcome.polish_improved {
+                    "synth+polish".to_string()
                 } else {
-                    "search budget hit — best known"
+                    "synth".to_string()
                 },
-                outcome.stats.nodes,
-                outcome.stats.pruned,
-                if outcome.polish_improved {
-                    ", improved by local search"
-                } else {
-                    ""
-                }
-            )
-            .ok();
-            writeln!(
-                out,
-                "figure2  : L = {fig2} ({})",
-                if l < fig2 {
-                    format!("synth saves {} slots", fig2 - l)
-                } else {
-                    "no improvement over the construction".to_string()
-                }
-            )
-            .ok();
-            let keep = matches!(&existing, Some(e) if e.schedule.frame_length() <= l);
-            if keep {
-                writeln!(out, "catalog  : kept the existing entry (not beaten)").ok();
-            } else if l > fig2 {
-                // A catalog entry longer than the Figure 2 construction
-                // would be a frame-length regression for `ttdc build`.
-                writeln!(
-                    out,
-                    "catalog  : not written (figure2 L = {fig2} is still the best known)"
-                )
-                .ok();
-            } else {
-                let entry = catalog::CatalogEntry {
-                    problem: p,
-                    fingerprint: outcome.fingerprint,
-                    schedule: outcome.schedule,
-                    exact: outcome.stats.exact,
-                    nodes: outcome.stats.nodes,
-                    source: if outcome.polish_improved {
-                        "synth+polish".to_string()
-                    } else {
-                        "synth".to_string()
-                    },
-                    config: Some(opts.search.config_string()),
-                };
-                let mut cache = VerifyCache::new();
-                catalog::validate_entry(&entry, &mut cache).map_err(|e| {
-                    CliError::Other(format!("refusing to write catalog entry: {e}"))
-                })?;
-                let path = catalog::write_entry(dir, &entry)
-                    .map_err(|e| CliError::Io(format!("{}: {e}", dir.display())))?;
-                writeln!(out, "catalog  : wrote {}", path.display()).ok();
-            }
-            Ok(())
+                config: Some(opts.search.config_string()),
+            };
+            let (pruned, polished) = (outcome.stats.pruned, outcome.polish_improved);
+            let hit = "search budget hit — best known";
+            report_winner(out, "synth", hit, &entry, pruned, polished);
+            admit(dir, existing.as_ref(), &entry, out)
         }
         SynthAction::Campaign {
             nodes,
@@ -523,14 +471,39 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
             budget,
             polish: polish_iters,
             dir,
-        } => synth_campaign(
-            &SynthProblem::new(*nodes, *degree, *alpha_t, *alpha_r),
-            Path::new(cat_dir),
-            budget.unwrap_or(DEFAULT_CAMPAIGN_BUDGET),
-            polish_iters.unwrap_or(200),
-            Path::new(dir),
-            out,
-        ),
+        } => {
+            // A kill-resumable campaign checkpointed to `dir` (see
+            // `ttdc_core::synth::campaign`); rerunning it resumes.
+            let p = SynthProblem::new(*nodes, *degree, *alpha_t, *alpha_r);
+            let cat_dir = Path::new(cat_dir);
+            let existing = catalog::load_entry(cat_dir, &p).map_err(CliError::Schedule)?;
+            let incumbent = existing.as_ref().map(|e| e.schedule.frame_length());
+            let budget = budget.unwrap_or(DEFAULT_CAMPAIGN_BUDGET);
+            let c = SynthCampaign::new(&p, budget, incumbent);
+            let branches = c.plan.branch_cands.len();
+            writeln!(
+                out,
+                "campaign : n={} D={} alpha=({},{}) — {branches} root branch(es) ({} before \
+                 symmetry), budget {budget} nodes each, seed L = {}",
+                p.n, p.d, p.alpha_t, p.alpha_r, c.plan.root_branches_total, c.plan.seed_len,
+            )
+            .ok();
+            let outcome = c
+                .run(Some(Path::new(dir)), polish_iters.unwrap_or(200))
+                .map_err(|e| CliError::Campaign(e.to_string()))?;
+            if outcome.reused > 0 {
+                let reused = outcome.reused;
+                writeln!(
+                    out,
+                    "resuming : {reused}/{branches} branch(es) already checkpointed"
+                )
+                .ok();
+            }
+            let (e, pruned, polished) = (&outcome.entry, outcome.pruned, outcome.polish_improved);
+            let hit = "branch budgets hit — best known";
+            report_winner(out, "campaign", hit, e, pruned, polished);
+            admit(cat_dir, existing.as_ref(), e, out)
+        }
         SynthAction::Status { catalog: dir, json } => {
             let dir = Path::new(dir);
             let entries = catalog::load_all(dir);
@@ -568,15 +541,7 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
                     Ok(entry) => {
                         let p = &entry.problem;
                         let l = entry.schedule.frame_length();
-                        let fig2 = build_duty_cycled(
-                            p.n,
-                            p.d,
-                            p.alpha_t,
-                            p.alpha_r,
-                            PartitionStrategy::RoundRobin,
-                        )
-                        .schedule
-                        .frame_length();
+                        let fig2 = catalog::figure2_len(p);
                         let (status, verdict) = match catalog::validate_entry(entry, &mut cache) {
                             // A catalog entry that is *worse* than the
                             // Figure 2 construction is a frame-length
@@ -655,245 +620,64 @@ fn synth(action: &SynthAction, out: &mut dyn Write) -> CmdResult {
 /// Default per-root-branch node budget for `ttdc synth campaign`.
 const DEFAULT_CAMPAIGN_BUDGET: u64 = 2_000_000;
 
-/// Manifest `kind` for synthesis campaigns.
-const SYNTH_CAMPAIGN_KIND: &str = "synth-campaign";
+/// Prints a search winner (`label : L = …`) and how it compares with the
+/// Figure 2 construction.
+fn report_winner(
+    out: &mut dyn Write,
+    label: &str,
+    budget_hit: &str,
+    e: &catalog::CatalogEntry,
+    pruned: u64,
+    polished: bool,
+) {
+    let (l, fig2) = (e.schedule.frame_length(), catalog::figure2_len(&e.problem));
+    let proof = if e.exact {
+        "proven optimal"
+    } else {
+        budget_hit
+    };
+    let polish = if polished {
+        ", improved by local search"
+    } else {
+        ""
+    };
+    let nodes = e.nodes;
+    writeln!(
+        out,
+        "{label:<8} : L = {l} ({proof}), {nodes} nodes expanded, {pruned} pruned{polish}"
+    )
+    .ok();
+    let versus = if l < fig2 {
+        format!("{label} saves {} slots", fig2 - l)
+    } else {
+        "no improvement over the construction".to_string()
+    };
+    writeln!(out, "figure2  : L = {fig2} ({versus})").ok();
+}
 
-/// Env var: abort the process after this many branch checkpoints (test/CI
-/// hook that simulates a SIGKILL at a fixed point in the campaign).
-pub const SYNTH_KILL_AFTER_ENV: &str = "TTDC_SYNTH_KILL_AFTER";
-
-/// Runs one parameter point as a checkpointed, kill-resumable search
-/// campaign: each root branch is searched under its own node budget with a
-/// *fresh* incumbent (so its result is independent of execution order and
-/// kill history), checkpointed to `dir/manifest.jsonl`, and the surviving
-/// branches reduce to the same winner an uninterrupted run would find.
-fn synth_campaign(
-    p: &SynthProblem,
-    cat_dir: &Path,
-    budget: u64,
-    polish_iters: u64,
+/// Offers `entry` to the catalog in `dir` under [`catalog::admit`] and
+/// reports what happened.
+fn admit(
     dir: &Path,
+    existing: Option<&catalog::CatalogEntry>,
+    entry: &catalog::CatalogEntry,
     out: &mut dyn Write,
 ) -> CmdResult {
-    use std::sync::atomic::AtomicUsize;
-    use ttdc_core::synth::demands::{CandidateSpace, DemandSpace};
-    use ttdc_core::synth::search::{plan_root, search_root_branch, CoverSolution};
-    use ttdc_sim::campaign::Manifest;
-
-    let existing = catalog::load_entry(cat_dir, p).map_err(CliError::Schedule)?;
-    let space = DemandSpace::new(p.n, p.d);
-    let cands = CandidateSpace::new(&space, p.alpha_t, p.alpha_r);
-    let opts = SearchOptions {
-        max_nodes: Some(budget),
-        incumbent_len: existing.as_ref().map(|e| e.schedule.frame_length()),
-        ..SearchOptions::default()
+    let admitted = catalog::admit(dir, existing, entry)
+        .map_err(|e| CliError::Io(format!("{}: {e}", dir.display())))?;
+    let line = match admitted {
+        Admission::Kept => "kept the existing entry (not beaten)".to_string(),
+        Admission::LongerThanFigure2(fig2) => {
+            format!("not written (figure2 L = {fig2} is still the best known)")
+        }
+        Admission::Invalid(e) => {
+            return Err(CliError::Other(format!(
+                "refusing to write catalog entry: {e}"
+            )))
+        }
+        Admission::Written(path) => format!("wrote {}", path.display()),
     };
-    let plan = plan_root(&space, &cands, &opts);
-    writeln!(
-        out,
-        "campaign : n={} D={} alpha=({},{}) — {} root branch(es) ({} before symmetry), \
-         budget {budget} nodes each, seed L = {}",
-        p.n,
-        p.d,
-        p.alpha_t,
-        p.alpha_r,
-        plan.branch_cands.len(),
-        plan.root_branches_total,
-        plan.seed_len,
-    )
-    .ok();
-
-    // The fingerprint binds everything that shapes a branch result; a
-    // manifest from different parameters, budget, seed or search config
-    // must not be resumed into.
-    let config = opts.config_string();
-    let fp = ttdc_util::fnv1a64(
-        format!(
-            "synth-campaign n={} d={} at={} ar={} budget={} seed_len={} branches={} {config}",
-            p.n,
-            p.d,
-            p.alpha_t,
-            p.alpha_r,
-            budget,
-            plan.seed_len,
-            plan.branch_cands.len(),
-        )
-        .as_bytes(),
-    );
-    let manifest_path = dir.join("manifest.jsonl");
-    let mut manifest = if manifest_path.exists() {
-        let m = Manifest::load(&manifest_path, SYNTH_CAMPAIGN_KIND, Some(fp))
-            .map_err(|e| CliError::Campaign(e.to_string()))?;
-        writeln!(
-            out,
-            "resuming : {}/{} branch(es) already checkpointed",
-            m.len(),
-            plan.branch_cands.len()
-        )
-        .ok();
-        m
-    } else {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CliError::Io(format!("{}: {e}", dir.display())))?;
-        Manifest::new(
-            SYNTH_CAMPAIGN_KIND,
-            fp,
-            serde_json::json!({
-                "n": p.n, "degree": p.d, "alpha_t": p.alpha_t, "alpha_r": p.alpha_r,
-                "budget": budget, "seed_len": plan.seed_len, "config": config.clone(),
-            }),
-        )
-    };
-
-    let kill_after: Option<usize> = std::env::var(SYNTH_KILL_AFTER_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let mut checkpoints_this_run = 0usize;
-    for index in 0..plan.branch_cands.len() {
-        let id = format!("b{index}");
-        if manifest.get(&id).is_some() {
-            continue;
-        }
-        // A fresh incumbent per branch: the checkpointed result must not
-        // depend on which other branches happened to finish first.
-        let shared = AtomicUsize::new(plan.seed_len);
-        let r = search_root_branch(&space, &cands, &opts, &plan, index, &shared);
-        manifest.put(
-            &id,
-            serde_json::json!({
-                "best": r.best.as_ref().map_or(serde_json::Value::Null, |b| {
-                    serde_json::Value::Array(
-                        b.slots.iter().map(|&c| serde_json::Value::from(c)).collect(),
-                    )
-                }),
-                "nodes": r.nodes,
-                "pruned": r.pruned,
-                "exhausted": r.exhausted,
-            }),
-        );
-        manifest
-            .save(&manifest_path)
-            .map_err(|e| CliError::Campaign(e.to_string()))?;
-        checkpoints_this_run += 1;
-        if let Some(limit) = kill_after {
-            if checkpoints_this_run >= limit {
-                eprintln!(
-                    "synth campaign: {SYNTH_KILL_AFTER_ENV}={limit} reached after \
-                     {checkpoints_this_run} checkpoint(s); aborting"
-                );
-                std::process::abort();
-            }
-        }
-    }
-
-    // Ordered reduce over the checkpointed branches, identical to
-    // `minimum_cover`'s: start from the greedy seed, adopt any branch best
-    // that wins under the (len, lex) rule, tally effort.
-    let mut best = plan.greedy.clone();
-    let mut total_nodes = 0u64;
-    let mut total_pruned = 0u64;
-    let mut any_budget_hit = false;
-    for index in 0..plan.branch_cands.len() {
-        let id = format!("b{index}");
-        let payload = manifest
-            .get(&id)
-            .ok_or_else(|| CliError::Campaign(format!("manifest lost branch {id}")))?;
-        let field = |k: &str| payload.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
-        total_nodes += field("nodes");
-        total_pruned += field("pruned");
-        any_budget_hit |= payload
-            .get("exhausted")
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false);
-        if let Some(slots) = payload.get("best").and_then(|v| v.as_array()) {
-            let slots: Option<Vec<u32>> =
-                slots.iter().map(|v| v.as_u64().map(|x| x as u32)).collect();
-            let sol = CoverSolution {
-                slots: slots
-                    .ok_or_else(|| CliError::Campaign(format!("branch {id}: bad slot ids")))?,
-            };
-            if sol.better_than(&best) {
-                best = sol;
-            }
-        }
-    }
-    let exact = !any_budget_hit;
-    let mut sol = best;
-    let mut polish_improved = false;
-    if !exact && polish_iters > 0 {
-        let polished = ttdc_core::synth::polish(&space, &cands, &sol, 0x5EED, polish_iters);
-        if polished.slots.len() < sol.slots.len() {
-            sol = polished;
-            polish_improved = true;
-        }
-    }
-    let schedule = cands.schedule(p.n, &sol.slots);
-    let l = schedule.frame_length();
-    writeln!(
-        out,
-        "campaign : L = {l} ({}), {total_nodes} nodes expanded, {total_pruned} pruned{}",
-        if exact {
-            "proven optimal"
-        } else {
-            "branch budgets hit — best known"
-        },
-        if polish_improved {
-            ", improved by local search"
-        } else {
-            ""
-        }
-    )
-    .ok();
-
-    let fig2 = build_duty_cycled(
-        p.n,
-        p.d,
-        p.alpha_t,
-        p.alpha_r,
-        PartitionStrategy::RoundRobin,
-    )
-    .schedule
-    .frame_length();
-    writeln!(
-        out,
-        "figure2  : L = {fig2} ({})",
-        if l < fig2 {
-            format!("campaign saves {} slots", fig2 - l)
-        } else {
-            "no improvement over the construction".to_string()
-        }
-    )
-    .ok();
-    let keep = matches!(&existing, Some(e) if e.schedule.frame_length() <= l);
-    if keep {
-        writeln!(out, "catalog  : kept the existing entry (not beaten)").ok();
-    } else if l > fig2 {
-        writeln!(
-            out,
-            "catalog  : not written (figure2 L = {fig2} is still the best known)"
-        )
-        .ok();
-    } else {
-        let entry = catalog::CatalogEntry {
-            problem: *p,
-            fingerprint: schedule.canonical_fingerprint(),
-            schedule,
-            exact,
-            nodes: total_nodes,
-            source: if polish_improved {
-                "campaign+polish".to_string()
-            } else {
-                "campaign".to_string()
-            },
-            config: Some(config),
-        };
-        let mut cache = VerifyCache::new();
-        catalog::validate_entry(&entry, &mut cache)
-            .map_err(|e| CliError::Other(format!("refusing to write catalog entry: {e}")))?;
-        let path = catalog::write_entry(cat_dir, &entry)
-            .map_err(|e| CliError::Io(format!("{}: {e}", cat_dir.display())))?;
-        writeln!(out, "catalog  : wrote {}", path.display()).ok();
-    }
+    writeln!(out, "catalog  : {line}").ok();
     Ok(())
 }
 

@@ -5,7 +5,7 @@
 //! subset of branches a dying process managed to checkpoint, re-running
 //! the same command finishes the rest and reduces to the same winner.
 //! Two ways to die mid-campaign: a deterministic self-abort after N
-//! checkpoints (`TTDC_SYNTH_KILL_AFTER`) and a real SIGKILL at an
+//! checkpoints (`TTDC_CAMPAIGN_KILL_AFTER`) and a real SIGKILL at an
 //! arbitrary instant. In both cases the final catalog entry must be
 //! byte-identical to one from a run that was never interrupted.
 
@@ -87,7 +87,7 @@ fn self_aborted_campaign_resumes_to_the_identical_entry() {
         .arg("--catalog")
         .arg(&catalog)
         .arg(&dir)
-        .env("TTDC_SYNTH_KILL_AFTER", "1")
+        .env("TTDC_CAMPAIGN_KILL_AFTER", "1")
         .output()
         .expect("spawn ttdc");
     assert!(!out.status.success(), "the kill-after run must die");

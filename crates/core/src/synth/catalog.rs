@@ -28,11 +28,17 @@
 //! verifiers (Requirements 1–3 plus the cover-free-family condition on the
 //! transmit sets) and re-derives the fingerprint — CI runs it over every
 //! committed entry.
+//!
+//! [`admit`] is the one admission rule every writer goes through: keep an
+//! existing entry the candidate does not beat, never write an entry
+//! longer than the Figure 2 construction, validate before writing.
 
 use super::{SynthProblem, VerifyCache};
+use crate::build_duty_cycled;
 use crate::io;
 use crate::requirements::{requirement1_violation_naive, requirement2_violation_naive};
 use crate::schedule::Schedule;
+use crate::PartitionStrategy::RoundRobin;
 use std::path::{Path, PathBuf};
 
 /// One catalog entry: a schedule plus its provenance.
@@ -245,6 +251,49 @@ pub fn load_all(dir: &Path) -> Vec<(PathBuf, Result<CatalogEntry, String>)> {
         .collect()
 }
 
+/// Frame length of the Figure 2 construction at `p`: the length every
+/// catalog entry must match or beat, since `ttdc build` prefers a catalog
+/// entry over the construction.
+pub fn figure2_len(p: &SynthProblem) -> usize {
+    let c = build_duty_cycled(p.n, p.d, p.alpha_t, p.alpha_r, RoundRobin);
+    c.schedule.frame_length()
+}
+
+/// What [`admit`] did with a candidate entry.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Admission {
+    /// The existing entry is no longer than the candidate and stays.
+    Kept,
+    /// The candidate is longer than Figure 2 (this long) and was not written.
+    LongerThanFigure2(usize),
+    /// The candidate fails [`validate_entry`] (why) and was not written.
+    Invalid(String),
+    /// The candidate was validated and written to this path.
+    Written(PathBuf),
+}
+
+/// The catalog admission rule: keep `existing` unless `entry` is strictly
+/// shorter, never write an entry longer than Figure 2, and validate
+/// against the naive oracles before writing.
+pub fn admit(
+    dir: &Path,
+    existing: Option<&CatalogEntry>,
+    entry: &CatalogEntry,
+) -> std::io::Result<Admission> {
+    let l = entry.schedule.frame_length();
+    if existing.is_some_and(|e| e.schedule.frame_length() <= l) {
+        return Ok(Admission::Kept);
+    }
+    let fig2 = figure2_len(&entry.problem);
+    if l > fig2 {
+        return Ok(Admission::LongerThanFigure2(fig2));
+    }
+    match validate_entry(entry, &mut VerifyCache::new()) {
+        Err(why) => Ok(Admission::Invalid(why)),
+        Ok(()) => write_entry(dir, entry).map(Admission::Written),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,6 +378,50 @@ mod tests {
         // Missing point: None, not an error.
         let other = SynthProblem::new(6, 1, 1, 2);
         assert!(load_entry(&dir, &other).unwrap().is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn admission_keeps_unbeaten_entries_and_refuses_bad_ones() {
+        let dir = std::env::temp_dir().join(format!("ttdc-catalog-admit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let e = sample_entry();
+        // An invalid candidate is refused and nothing is written.
+        let mut bad = e.clone();
+        bad.fingerprint ^= 1;
+        assert!(matches!(
+            admit(&dir, None, &bad).unwrap(),
+            Admission::Invalid(_)
+        ));
+        assert!(load_entry(&dir, &e.problem).unwrap().is_none());
+        // A valid one is written; the same length again does not beat it.
+        let written = admit(&dir, None, &e).unwrap();
+        assert_eq!(written, Admission::Written(entry_path(&dir, &e.problem)));
+        assert_eq!(admit(&dir, Some(&e), &e).unwrap(), Admission::Kept);
+        // Longer than Figure 2: the slots repeated past its length are
+        // still valid, but never written.
+        let (s, fig2) = (&e.schedule, figure2_len(&e.problem));
+        let copies = fig2 / s.frame_length() + 1;
+        let repeat = |f: fn(&Schedule, usize) -> &ttdc_util::BitSet| {
+            (0..copies * s.frame_length())
+                .map(|i| f(s, i % s.frame_length()).clone())
+                .collect()
+        };
+        let long = Schedule::new(
+            s.num_nodes(),
+            repeat(Schedule::transmitters),
+            repeat(Schedule::receivers),
+        );
+        assert!(long.frame_length() > fig2, "fixture must exceed Figure 2");
+        let long = CatalogEntry {
+            fingerprint: long.canonical_fingerprint(),
+            schedule: long,
+            ..e.clone()
+        };
+        assert_eq!(
+            admit(&dir, None, &long).unwrap(),
+            Admission::LongerThanFigure2(fig2)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -12,12 +12,16 @@
 //!    winner at any thread count).
 //! 3. [`polish`](fn@polish) ruin-and-recreate local search improves
 //!    inexact (budgeted) incumbents, deterministically in its seed.
-//! 4. [`catalog`] persists winners with provenance; `ttdc build` consults
-//!    it before falling back to the Figure 2 construction.
+//! 4. [`catalog`] persists winners with provenance under one admission
+//!    rule ([`catalog::admit`]); `ttdc build` consults it before falling
+//!    back to the Figure 2 construction.
+//! 5. [`campaign`] runs one point as a kill-resumable checkpointed job,
+//!    one unit per root branch.
 //!
 //! Every schedule leaving this module is re-checked against the *naive*
 //! Requirement-3 oracle (via [`VerifyCache`]) before anyone trusts it.
 
+pub mod campaign;
 pub mod catalog;
 pub mod demands;
 pub mod search;
@@ -283,23 +287,11 @@ impl VerifyCache {
     }
 }
 
-/// Greedy cover re-exported for callers that want the seed solution alone
-/// (bench baselines).
-pub fn greedy_solution(p: &SynthProblem) -> (usize, SynthOutcome) {
+/// Length of the greedy seed cover at `p`: the baseline E18 reports.
+pub fn greedy_len(p: &SynthProblem) -> usize {
     let space = DemandSpace::new(p.n, p.d);
     let cands = CandidateSpace::new(&space, p.alpha_t, p.alpha_r);
-    let sol = greedy_cover(&space, &cands);
-    let schedule = cands.schedule(p.n, &sol.slots);
-    let len = sol.slots.len();
-    (
-        len,
-        SynthOutcome {
-            fingerprint: schedule.canonical_fingerprint(),
-            schedule,
-            stats: SearchStats::default(),
-            polish_improved: false,
-        },
-    )
+    greedy_cover(&space, &cands).slots.len()
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use ttdc_core::construct::PartitionStrategy;
 use ttdc_core::synth::catalog;
-use ttdc_core::synth::{greedy_solution, VerifyCache};
+use ttdc_core::synth::{greedy_len, VerifyCache};
 use ttdc_core::tsma::build_duty_cycled;
 use ttdc_util::Table;
 
@@ -76,7 +76,7 @@ pub fn run() -> Vec<Table> {
         )
         .schedule
         .frame_length();
-        let (greedy_l, _) = greedy_solution(&p);
+        let greedy_l = greedy_len(&p);
         table.row(&[
             p.n.to_string(),
             p.d.to_string(),

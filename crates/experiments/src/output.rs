@@ -27,18 +27,9 @@ pub fn write_tables(dir: &Path, id: &str, tables: &[Table]) -> std::io::Result<(
         .collect::<Vec<_>>()
         .join("\n");
     write_atomic(&dir.join(format!("{id}.csv")), csv.as_bytes())?;
-    let json = serde_json::to_string_pretty(
-        &tables
-            .iter()
-            .map(|t| {
-                serde_json::json!({
-                    "title": t.title(),
-                    "columns": t.columns(),
-                    "rows": t.rows(),
-                })
-            })
-            .collect::<Vec<_>>(),
-    )
+    let json = serde_json::to_string_pretty(&serde_json::Value::Array(
+        tables.iter().map(Table::to_json).collect(),
+    ))
     .expect("tables are plain strings");
     write_atomic(&dir.join(format!("{id}.json")), json.as_bytes())?;
     Ok(())

@@ -6,12 +6,14 @@
 //!
 //! * [`spec`] — [`CampaignSpec`], the grid description and the
 //!   deterministic sharding rule;
-//! * [`manifest`] — the atomic, checksummed JSONL checkpoint format;
-//! * [`runner`] — [`run_campaign`]: parallel execution with per-
-//!   replication panic isolation, bounded-backoff retries, quarantine,
-//!   a watchdog thread, and the ordered merge.
+//! * [`manifest`] — the atomic, checksummed JSONL checkpoint format of
+//!   [`ttdc_util::checkpoint`];
+//! * [`runner`] — [`run_campaign`]: a client of the checkpointed-job
+//!   runner [`ttdc_util::checkpoint::Checkpoint`] whose unit is one shard,
+//!   with per-replication panic isolation, bounded-backoff retries,
+//!   quarantine, a watchdog thread, and the ordered merge.
 //!
-//! See `DESIGN.md` ("Campaign runner") for the determinism-under-resume
+//! See `DESIGN.md` ("Checkpointed jobs") for the determinism-under-resume
 //! argument.
 
 pub mod manifest;
@@ -21,7 +23,9 @@ pub mod spec;
 pub use manifest::{Manifest, ManifestError, ManifestRecord};
 pub use runner::{
     manifest_overview, run_campaign, CampaignError, CampaignOptions, CampaignOutcome, ExtraMetrics,
-    QuarantinedShard, ResumeMode, WatchdogConfig, CAMPAIGN_KIND, KILL_AFTER_ENV, MANIFEST_FILE,
-    MERGED_FILE, SUMMARY_FILE,
+    QuarantinedShard, WatchdogConfig, CAMPAIGN_KIND, MERGED_FILE, SUMMARY_FILE,
 };
-pub use spec::{CampaignSpec, PointSpec, Shard, CAMPAIGN_SCHEMA_VERSION};
+pub use spec::{CampaignSpec, PointSpec, Shard};
+pub use ttdc_util::checkpoint::{
+    ResumeMode, CAMPAIGN_SCHEMA_VERSION, KILL_AFTER_ENV, MANIFEST_FILE,
+};

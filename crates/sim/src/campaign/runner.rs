@@ -6,13 +6,14 @@
 //!    replication range into checkpoint-sized units; replication `r` of a
 //!    point always uses seed `base_seed + r` no matter which shard it
 //!    lands in.
-//! 2. **Execute** — missing shards fan out over the rayon pool. Every
-//!    replication runs under `catch_unwind`; a panic is retried with
-//!    bounded exponential backoff, and a replication that keeps panicking
-//!    quarantines its whole shard (recording the poisoned seed and the
-//!    panic message for reproduction) instead of aborting the campaign.
-//! 3. **Checkpoint** — each completed shard's record is sealed into the
-//!    JSONL manifest and the manifest is rewritten atomically, so a
+//! 2. **Execute** — the checkpointed-job runner ([`Checkpoint`]) fans the
+//!    missing shards out over the rayon pool. Every replication runs
+//!    under `catch_unwind`; a panic is retried with bounded exponential
+//!    backoff, and a replication that keeps panicking quarantines its
+//!    whole shard (recording the poisoned seed and the panic message for
+//!    reproduction) instead of aborting the campaign.
+//! 3. **Checkpoint** — the runner seals each completed shard's record
+//!    into the JSONL manifest and rewrites the manifest atomically, so a
 //!    SIGKILL at any instant leaves a loadable prefix of the work.
 //! 4. **Merge** — shard records are decoded *from their manifest
 //!    encoding* (fresh or reloaded — one code path) and folded into one
@@ -28,43 +29,27 @@
 //!
 //! [`run_replications_summarized`]: crate::montecarlo::run_replications_summarized
 
-use rayon::prelude::*;
 use serde_json::{json, Value};
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::manifest::{f64_from_bits_json, f64_to_bits_json, Manifest, ManifestError};
-use super::spec::{CampaignSpec, Shard, CAMPAIGN_SCHEMA_VERSION};
+use super::spec::{CampaignSpec, Shard};
 use crate::metrics::SimReport;
 use crate::montecarlo::McSummary;
+use ttdc_util::checkpoint::{Checkpoint, ResumeMode, CAMPAIGN_SCHEMA_VERSION, MANIFEST_FILE};
 
-/// File name of the checkpoint manifest inside a campaign directory.
-pub const MANIFEST_FILE: &str = "manifest.jsonl";
 /// File name of the merged per-point JSONL output.
 pub const MERGED_FILE: &str = "merged.jsonl";
 /// File name of the human-oriented summary.
 pub const SUMMARY_FILE: &str = "summary.json";
 /// Manifest `kind` for simulation campaigns.
 pub const CAMPAIGN_KIND: &str = "campaign";
-/// Env var: abort the process after this many checkpoints (test/CI hook
-/// that simulates a SIGKILL at a fixed point in the campaign).
-pub const KILL_AFTER_ENV: &str = "TTDC_CAMPAIGN_KILL_AFTER";
-
-/// How [`run_campaign`] treats an existing checkpoint directory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResumeMode {
-    /// Require a fresh directory: error if a manifest already exists.
-    Fresh,
-    /// Require an existing manifest: error if there is nothing to resume.
-    Resume,
-    /// Resume if a compatible manifest exists, start fresh otherwise.
-    Auto,
-}
 
 /// Watchdog configuration: a shard is flagged when it runs longer than
 /// `floor_ms + ns_per_slot × slots_hint × shard_replications / 10⁶` ms.
@@ -192,13 +177,11 @@ impl std::fmt::Display for CampaignError {
         match self {
             CampaignError::InvalidSpec(m) => write!(f, "invalid campaign spec: {m}"),
             CampaignError::Manifest(e) => write!(f, "{e}"),
-            CampaignError::AlreadyStarted(p) => write!(
-                f,
-                "{} already holds a campaign manifest; use resume (or a fresh directory)",
-                p.display()
-            ),
+            CampaignError::AlreadyStarted(p) => {
+                write!(f, "{}", ManifestError::AlreadyStarted(p.clone()))
+            }
             CampaignError::NothingToResume(p) => {
-                write!(f, "{} holds no campaign manifest to resume", p.display())
+                write!(f, "{}", ManifestError::NothingToResume(p.clone()))
             }
             CampaignError::ShardMismatch { id } => write!(
                 f,
@@ -212,7 +195,11 @@ impl std::error::Error for CampaignError {}
 
 impl From<ManifestError> for CampaignError {
     fn from(e: ManifestError) -> Self {
-        CampaignError::Manifest(e)
+        match e {
+            ManifestError::AlreadyStarted(p) => CampaignError::AlreadyStarted(p),
+            ManifestError::NothingToResume(p) => CampaignError::NothingToResume(p),
+            e => CampaignError::Manifest(e),
+        }
     }
 }
 
@@ -340,96 +327,34 @@ where
 {
     spec.validate().map_err(CampaignError::InvalidSpec)?;
     let shards = spec.shards();
-    let manifest_path = dir.map(|d| d.join(MANIFEST_FILE));
-
-    // Load or create the manifest according to the resume mode.
-    let existing = manifest_path.as_deref().filter(|p| p.exists());
-    let manifest = match (mode, existing) {
-        (ResumeMode::Fresh, Some(p)) => return Err(CampaignError::AlreadyStarted(p.to_path_buf())),
-        (ResumeMode::Resume, None) => {
-            let d = dir.expect("Resume mode requires a directory");
-            return Err(CampaignError::NothingToResume(d.to_path_buf()));
-        }
-        (_, Some(p)) => Manifest::load(p, CAMPAIGN_KIND, Some(spec.fingerprint()))?,
-        (_, None) => Manifest::new(CAMPAIGN_KIND, spec.fingerprint(), header_json(spec)),
-    };
-
-    // Partition shards into reused (already checkpointed) and missing.
-    let mut payloads: Vec<Option<Value>> = vec![None; shards.len()];
-    let mut reused = 0usize;
+    let (fp, header) = (spec.fingerprint(), header_json(spec));
+    let job = Checkpoint::open(dir, MANIFEST_FILE, CAMPAIGN_KIND, fp, header, mode)?;
     for shard in &shards {
-        if let Some(p) = manifest.get(&record_id(shard.index)) {
+        if let Some(p) = job.manifest.get(&record_id(shard.index)) {
             validate_shard_payload(p, shard)?;
-            payloads[shard.index] = Some(p.clone());
-            reused += 1;
         }
     }
-    let todo: Vec<Shard> = shards
-        .iter()
-        .filter(|s| payloads[s.index].is_none())
-        .copied()
-        .collect();
-
-    let kill_after: Option<usize> = std::env::var(KILL_AFTER_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let checkpoints_this_run = AtomicUsize::new(0);
-    let persist_errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let shared_manifest = Mutex::new(manifest);
+    let ids: Vec<String> = shards.iter().map(|s| record_id(s.index)).collect();
 
     // The watchdog: workers register shard start times; the thread flags
     // any in-flight shard past its budget.
     let watchdog = opts.watchdog.map(WatchdogHandle::spawn);
-    let flagged: Vec<usize> = {
-        let executed: Vec<(usize, Value)> = (0..todo.len())
-            .into_par_iter()
-            .map(|i| {
-                let shard = todo[i];
-                let _guard = watchdog
-                    .as_ref()
-                    .map(|w| w.watch(shard.index, w.cfg.budget(spec, &shard)));
-                let payload = run_shard(spec, &shard, opts, extras, &scenario);
-                if let Some(path) = manifest_path.as_deref() {
-                    let mut m = shared_manifest.lock().expect("manifest lock");
-                    m.put(record_id(shard.index), payload.clone());
-                    if let Err(e) = m.save(path) {
-                        persist_errors
-                            .lock()
-                            .expect("error lock")
-                            .push(e.to_string());
-                    }
-                    drop(m);
-                    let done = checkpoints_this_run.fetch_add(1, Ordering::SeqCst) + 1;
-                    if let Some(limit) = kill_after {
-                        if done >= limit {
-                            eprintln!(
-                                "campaign: {KILL_AFTER_ENV}={limit} reached after \
-                                 {done} checkpoint(s); aborting"
-                            );
-                            std::process::abort();
-                        }
-                    }
-                }
-                (shard.index, payload)
-            })
-            .collect();
-        for (index, payload) in executed {
-            payloads[index] = Some(payload);
-        }
-        match watchdog {
-            Some(w) => w.finish(),
-            None => Vec::new(),
-        }
+    let run = job.run(&ids, |i| {
+        let shard = &shards[i];
+        let _guard = watchdog
+            .as_ref()
+            .map(|w| w.watch(shard.index, w.cfg.budget(spec, shard)));
+        run_shard(spec, shard, opts, extras, &scenario)
+    });
+    let flagged = match watchdog {
+        Some(w) => w.finish(),
+        None => Vec::new(),
     };
-    let errors = persist_errors.into_inner().expect("error lock");
-    if let Some(first) = errors.into_iter().next() {
-        return Err(CampaignError::Manifest(ManifestError::Io(first)));
-    }
+    let run = run?;
 
-    let executed = shards.len() - reused;
-    let mut outcome = merge(spec, &shards, &payloads)?;
-    outcome.executed_shards = executed;
-    outcome.reused_shards = reused;
+    let mut outcome = merge(spec, &shards, &run.payloads)?;
+    outcome.executed_shards = shards.len() - run.reused;
+    outcome.reused_shards = run.reused;
     outcome.watchdog_flagged = flagged;
     Ok(outcome)
 }
@@ -551,15 +476,13 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
 fn merge(
     spec: &CampaignSpec,
     shards: &[Shard],
-    payloads: &[Option<Value>],
+    payloads: &[Value],
 ) -> Result<CampaignOutcome, CampaignError> {
     let mut summaries = vec![McSummary::default(); spec.points.len()];
     let mut extras = vec![Vec::new(); spec.points.len()];
     let mut quarantined = Vec::new();
     for shard in shards {
-        let payload = payloads[shard.index]
-            .as_ref()
-            .expect("every shard resolved");
+        let payload = &payloads[shard.index];
         match payload.get("status").and_then(Value::as_str) {
             Some("ok") => {
                 let reps = payload.get("reps").and_then(Value::as_array).ok_or(

@@ -1,12 +1,7 @@
 //! Campaign descriptions and the deterministic sharding rule.
 
+use ttdc_util::checkpoint::CAMPAIGN_SCHEMA_VERSION;
 use ttdc_util::fnv1a64;
-
-/// Version stamp written into every campaign manifest and summary; bump it
-/// whenever the manifest or merged-output format changes shape so a resume
-/// against an old directory fails loudly instead of merging silently
-/// incompatible records.
-pub const CAMPAIGN_SCHEMA_VERSION: u64 = 1;
 
 /// One cell of the parameter grid: a stable label plus the named
 /// parameters that produced it (descriptive — the scenario closure, not

@@ -1,15 +1,19 @@
 //! Shared low-level substrate for the `ttdc` workspace.
 //!
-//! This crate deliberately has no heavyweight dependencies: it provides the
-//! dense [`BitSet`] used to represent node sets and slot sets throughout the
-//! scheduling core, small-sample [`stats`] helpers used by the simulator and
-//! the experiment harness, exact/overflow-safe [`binomial`] arithmetic used
-//! by the throughput formulas, and the plain-text/CSV [`table`] renderer the
-//! experiment runners print their results with.
+//! This crate depends only on the vendored `serde_json` and `rayon`. It
+//! provides the dense [`BitSet`] used to represent node sets and slot sets
+//! throughout the scheduling core, small-sample [`stats`] helpers used by
+//! the simulator and the experiment harness, exact/overflow-safe
+//! [`binomial`] arithmetic used by the throughput formulas, the
+//! plain-text/CSV [`table`] renderer the experiment runners print their
+//! results with, and the [`checkpoint`] runner that every kill-resumable
+//! job (simulation campaigns, synthesis campaigns, `exp_all --checkpoint`)
+//! goes through.
 
 pub mod atomic;
 pub mod binomial;
 pub mod bitset;
+pub mod checkpoint;
 pub mod cover;
 pub mod fpfold;
 pub mod histogram;

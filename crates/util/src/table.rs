@@ -3,7 +3,10 @@
 //! Every experiment runner produces a [`Table`]: a header row plus data rows
 //! of preformatted cells. Tables render as aligned plain text (what the
 //! paper-style report shows) and as CSV (what EXPERIMENTS.md numbers are
-//! regenerated from).
+//! regenerated from), and round-trip through JSON ([`Table::to_json`]),
+//! the encoding of `results/*.json` and of `exp_all`'s checkpoint records.
+
+use serde_json::{json, Value};
 
 /// A simple column-aligned results table.
 #[derive(Clone, Debug, Default)]
@@ -63,6 +66,38 @@ impl Table {
     /// `true` if the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// The table as `{"title", "columns", "rows"}`.
+    pub fn to_json(&self) -> Value {
+        json!({ "title": self.title(), "columns": self.columns(), "rows": self.rows() })
+    }
+
+    /// Decodes [`Table::to_json`]; `None` on a missing field or a row
+    /// whose arity differs from the header.
+    pub fn from_json(v: &Value) -> Option<Table> {
+        let strings = |v: &Value| -> Option<Vec<String>> {
+            v.as_array()?
+                .iter()
+                .map(|s| Some(s.as_str()?.to_string()))
+                .collect()
+        };
+        let title = v.get("title")?.as_str()?.to_string();
+        let columns = strings(v.get("columns")?)?;
+        let rows: Vec<Vec<String>> = v
+            .get("rows")?
+            .as_array()?
+            .iter()
+            .map(strings)
+            .collect::<Option<_>>()?;
+        if rows.iter().any(|r| r.len() != columns.len()) {
+            return None;
+        }
+        Some(Table {
+            title,
+            columns,
+            rows,
+        })
     }
 
     /// Renders the table as aligned plain text.
