@@ -74,8 +74,8 @@ fn duty_cycled_mac(n: usize) -> ScheduleMac {
 }
 
 /// Runs `slots` slots through `run()` or, with `step`, the `step()`
-/// reference.
-fn drive(mut sim: Simulator, mac: &dyn MacProtocol, slots: u64, step: bool) -> SimReport {
+/// reference; returns the report and how many slots ran the pipeline.
+fn drive(mut sim: Simulator, mac: &dyn MacProtocol, slots: u64, step: bool) -> (SimReport, u64) {
     if step {
         for _ in 0..slots {
             sim.step(mac);
@@ -83,7 +83,7 @@ fn drive(mut sim: Simulator, mac: &dyn MacProtocol, slots: u64, step: bool) -> S
     } else {
         sim.run(mac, slots);
     }
-    sim.report()
+    (sim.report(), sim.visited_slots())
 }
 
 fn report(topo: &Topology, mac: &dyn MacProtocol, slots: u64, step: bool) -> SimReport {
@@ -95,7 +95,7 @@ fn report(topo: &Topology, mac: &dyn MacProtocol, slots: u64, step: bool) -> Sim
             ..Default::default()
         },
     );
-    drive(sim, mac, slots, step)
+    drive(sim, mac, slots, step).0
 }
 
 /// Mean awake (scheduled transmitter or listener) nodes per frame slot —
@@ -177,7 +177,7 @@ fn low_traffic_period(n: usize) -> u64 {
     10_000 * n as u64 / 64
 }
 
-fn low_traffic_report(n: usize, slots: u64, step: bool) -> SimReport {
+fn low_traffic_report(n: usize, slots: u64, step: bool) -> (SimReport, u64) {
     let sim = Simulator::new(
         matching_topo(n),
         TrafficPattern::CbrUnicast {
@@ -198,8 +198,8 @@ fn run_low_traffic_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
          (per-node arrival {:.1e}/slot)",
         1.0 / period as f64
     );
-    let (step_ms, step_report) = measure(iters, || low_traffic_report(n, slots, true));
-    let (skip_ms, skip_report) = measure(iters, || low_traffic_report(n, slots, false));
+    let (step_ms, (step_report, _)) = measure(iters, || low_traffic_report(n, slots, true));
+    let (skip_ms, (skip_report, visited)) = measure(iters, || low_traffic_report(n, slots, false));
     assert_eq!(
         skip_report, step_report,
         "n={n}: run() and the step() reference must report identically"
@@ -207,13 +207,14 @@ fn run_low_traffic_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
     let speedup = step_ms / skip_ms;
     eprintln!(
         "  step {step_ms:.2} ms, run (skip clock) {skip_ms:.2} ms over {slots} slots \
-         ({speedup:.2}x, identical reports)"
+         ({speedup:.2}x, identical reports, {visited} slots visited)"
     );
     let row = json!({
         "n": n,
         "frame_length": n,
         "cbr_period": period,
         "slots": slots,
+        "visited_slots": visited,
         "iterations": iters,
         "step_median_ms": step_ms,
         "skip_clock_median_ms": skip_ms,
@@ -232,11 +233,12 @@ fn run_low_traffic_point(n: usize, slots: u64, iters: usize) -> (Value, f64) {
 fn run_horizon_row(n: usize, slots: u64) -> Value {
     eprintln!("horizon point n={n}: {slots} slots, run() (skip clock) only");
     let t0 = Instant::now();
-    let report = low_traffic_report(n, slots, false);
+    let (report, visited) = low_traffic_report(n, slots, false);
     let secs = t0.elapsed().as_secs_f64();
     let delivered = report.delivered;
     eprintln!(
-        "  {secs:.2} s wall ({:.1}M slots/s), {delivered} packets delivered",
+        "  {secs:.2} s wall ({:.1}M slots/s), {delivered} packets delivered, \
+         {visited} slots visited",
         slots as f64 / secs / 1e6
     );
     json!({
@@ -244,6 +246,7 @@ fn run_horizon_row(n: usize, slots: u64) -> Value {
         "frame_length": n,
         "cbr_period": low_traffic_period(n),
         "slots": slots,
+        "visited_slots": visited,
         "skip_clock_wall_s": secs,
         "slots_per_sec": slots as f64 / secs,
         "packets_delivered": delivered,
@@ -304,7 +307,7 @@ fn main() {
         "description": "simulation scaling: the step() reference (rosters rebuilt from every node's MAC answer each slot) vs Simulator::run, by network size (single thread). Both families are skip-eligible, so every run() column times the skip clock over cached plan rosters.",
         "note": "rows family: round-robin duty-cycled schedule with frame n/4 and 8 awake nodes per slot under saturated broadcast, so the skip clock visits every slot; step() pays O(n) schedule probes per slot to rebuild the rosters, run() borrows them from the plan, leaving only the memory-bound bulk sleep-charge sweep (a few ns per sleeping node) to grow with n. results_identical means the full SimReport (counters, per-node energy, latency bits, trace) matched between the two at that point.",
         "rows": rows,
-        "low_traffic_note": "fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). step() visits every slot and rebuilds its rosters; the skip clock jumps straight between generation and backlog slots, touching only the slot's lone listener in between. results_identical is the same full-SimReport assertion as above, run at every point.",
+        "low_traffic_note": "fully duty-cycled matching schedule (frame L = n, 1 tx + 1 rx per slot) under CBR unicast with per-node arrival ~1e-4/slot at n=64 (period scaled with n so network load is flat). step() visits every slot and rebuilds its rosters; the skip clock visits only generation slots and the slots where a backlogged sender's next hop listens (visited_slots, a deterministic count), and settles each node's idle listening lazily. results_identical is the same full-SimReport assertion as above, run at every point.",
         "low_traffic_rows": low_rows,
         "horizon_row": horizon.unwrap_or(Value::Null),
     });

@@ -52,6 +52,10 @@ impl MacProtocol for TsmaMac {
     fn may_receive(&self, node: usize, slot: u64) -> bool {
         self.inner.may_receive(node, slot)
     }
+
+    fn fill_rosters(&self, slot: u64, n: usize, tx: &mut Vec<u32>, rx: &mut Vec<u32>) {
+        self.inner.fill_rosters(slot, n, tx, rx)
+    }
 }
 
 #[cfg(test)]

@@ -671,7 +671,9 @@ impl WatchdogHandle {
                             }
                         }
                     }
-                    std::thread::sleep(Duration::from_millis(cfg.poll_ms));
+                    // Parked rather than asleep, so `finish` can wake the
+                    // thread at once instead of waiting out the interval.
+                    std::thread::park_timeout(Duration::from_millis(cfg.poll_ms));
                 }
             })
         };
@@ -697,6 +699,7 @@ impl WatchdogHandle {
 
     fn finish(self) -> Vec<usize> {
         self.stop.store(true, Ordering::Relaxed);
+        self.thread.thread().unpark();
         let _ = self.thread.join();
         let flags = self.flagged.lock().expect("watchdog lock");
         flags.iter().copied().collect()

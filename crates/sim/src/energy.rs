@@ -106,17 +106,38 @@ impl EnergyLedger {
         }
     }
 
-    /// Charges `node` for `k` consecutive slots of the sleep floor in one
-    /// call, landing on exactly the `f64` that `k` individual
-    /// [`record`]`(…, Sleep)` calls would produce
-    /// ([`ttdc_util::iterate_add`] fast-forwards the repeated rounding in
-    /// O(binade crossings)). This is the time-skipping engine's bulk
-    /// charge for a node's unflushed sleep debt across a skipped span.
+    /// Charges `node` for `len` consecutive idle slots — `listens` of
+    /// them listen occurrences, every other one sleep — in slot order,
+    /// landing on exactly the `f64` that `len` individual [`record`]
+    /// calls would produce. `listen_at(j)` is the offset of the `j`-th
+    /// listen occurrence in the span; [`ttdc_util::fold_two`] folds the
+    /// interleaved charges in O(1) inside a binade, and `steps` keeps the
+    /// node's last binade so a span that starts there jumps at once.
+    /// This is the skip clock's settlement of a node's uncharged span.
     ///
     /// [`record`]: EnergyLedger::record
-    pub fn charge_sleep_slots(&mut self, sleep_mj: f64, node: usize, k: u64) {
-        self.consumed_mj[node] = ttdc_util::iterate_add(self.consumed_mj[node], sleep_mj, k);
-        self.sleep_slots[node] += k;
+    pub(crate) fn charge_idle_span(
+        &mut self,
+        model: &EnergyModel,
+        node: usize,
+        len: u64,
+        listens: u64,
+        steps: &mut ttdc_util::BinadeSteps,
+        listen_at: impl Fn(u64) -> u64,
+    ) {
+        let x = self.consumed_mj[node];
+        self.consumed_mj[node] = match steps.jump(x, listens, len - listens) {
+            Some(y) => y,
+            None => {
+                let listen_mj = model.slot_energy_mj(RadioState::Listen);
+                let sleep_mj = model.slot_energy_mj(RadioState::Sleep);
+                let y = ttdc_util::fold_two(x, listen_mj, sleep_mj, len, listens, listen_at);
+                *steps = ttdc_util::BinadeSteps::at(y, listen_mj, sleep_mj);
+                y
+            }
+        };
+        self.listen_slots[node] += listens;
+        self.sleep_slots[node] += len - listens;
     }
 
     /// Total energy over all nodes (mJ).

@@ -26,8 +26,8 @@
 //!   baseline);
 //! * the **clock policy** — visit every slot, or, when nothing random can
 //!   happen off-calendar, visit only the slots the skip calendar names
-//!   (see the `events` module) and settle the spans in between in bulk:
-//!   listener occurrences, per-node sleep debt, battery epochs.
+//!   (see the `events` module) and settle each node's idle span lazily
+//!   (see the energy phase), in battery epochs.
 //!
 //! [`Simulator::step`] always refills the rosters and visits one slot; it
 //! is the reference the dispatched `run` is verified against.
@@ -52,7 +52,8 @@ use crate::mac::MacProtocol;
 use crate::metrics::SimReport;
 use crate::observer::{MetricsObserver, SlotEvent, SlotObserver, TraceObserver};
 use crate::phases;
-use crate::plan::{PlanSlot, SlotPlan};
+use crate::phases::energy::Unsettled;
+use crate::plan::{PlanSlot, Roster, SlotPlan};
 use crate::topology::Topology;
 use crate::traffic::{Packet, TrafficPattern};
 use rand::rngs::SmallRng;
@@ -112,6 +113,8 @@ pub struct Simulator {
     /// Convergecast next hop toward the sink (`usize::MAX` = no route).
     pub(crate) routing: Vec<usize>,
     pub(crate) slot: u64,
+    /// Slots that ran the phase pipeline (see [`Simulator::visited_slots`]).
+    visited: u64,
     /// Battery-exhausted nodes (radio permanently off).
     pub(crate) dead: Vec<bool>,
     /// Cumulative per-node energy. Engine-owned (not observer state): the
@@ -156,7 +159,7 @@ pub struct Simulator {
 enum Rosters<'a> {
     /// Borrowed from the cached [`SlotPlan`] (frame-periodic MAC, zero
     /// drift).
-    Plan(&'a PlanSlot),
+    Plan(Roster<'a>),
     /// Refilled into a reused buffer from every node's MAC answer at its
     /// own perceived slot.
     Perceived(&'a mut PlanSlot),
@@ -208,6 +211,7 @@ impl Simulator {
             queues: (0..n).map(|_| VecDeque::with_capacity(64)).collect(),
             routing: vec![usize::MAX; n],
             slot: 0,
+            visited: 0,
             dead: vec![false; n],
             energy: EnergyLedger::new(n),
             faults: FaultState::new(config.faults, n, config.seed),
@@ -249,6 +253,15 @@ impl Simulator {
     /// Current slot counter.
     pub fn current_slot(&self) -> u64 {
         self.slot
+    }
+
+    /// How many slots actually ran the phase pipeline so far — every
+    /// [`Simulator::step`], and the slots [`Simulator::run`] visited. A
+    /// work counter, not a result: the skip clock's calendar keeps it far
+    /// below [`current_slot`](Simulator::current_slot) while the
+    /// [`SimReport`] stays that of visiting every slot.
+    pub fn visited_slots(&self) -> u64 {
+        self.visited
     }
 
     /// Enables physical capture: `positions[v]` is node `v`'s coordinate
@@ -345,33 +358,36 @@ impl Simulator {
 
     /// Runs the seven-phase pipeline (the module-level docs list the
     /// phases) over one slot's rosters and closes the slot for every
-    /// observer. `sleep_debt` is the skip clock's per-node flush marks:
-    /// when present, sleepers accrue debt instead of being charged now.
+    /// observer. `unsettled` is the skip clock's per-node energy marks:
+    /// when present, only the slot's transmitters are charged (each after
+    /// settling its idle span); every other node's slot joins its
+    /// uncharged span.
     fn step_with(
         &mut self,
         mac: &dyn MacProtocol,
         rosters: Rosters<'_>,
-        sleep_debt: Option<&mut [u64]>,
+        unsettled: Option<&mut Unsettled>,
     ) {
+        self.visited += 1;
         phases::faults::run(self);
         // Drift accrues in the fault phase, so perceived rosters fill
         // after it. Filling draws no randomness.
-        let roster: &PlanSlot = match rosters {
+        let roster = match rosters {
             Rosters::Plan(roster) => roster,
             Rosters::Perceived(roster) => {
                 let (slot, faults) = (self.slot, &self.faults);
                 roster.refill(mac, self.topo.num_nodes(), |v| {
                     faults.perceived_slot(v, slot)
                 });
-                roster
+                roster.view()
             }
         };
         phases::traffic::run(self);
-        phases::election::run(self, mac, &roster.tx);
-        phases::channel::run(self, &roster.rx);
+        phases::election::run(self, mac, roster.tx);
+        phases::channel::run(self, roster.rx);
         phases::delivery::run(self);
         phases::arq::run(self);
-        phases::energy::run(self, &roster.awake, sleep_debt);
+        phases::energy::run(self, roster.awake, unsettled);
         self.close_slot();
     }
 
@@ -411,7 +427,7 @@ impl Simulator {
     ///   predictable;
     /// * no user observers — they may watch `on_slot_end` for slots the
     ///   clock never visits;
-    /// * a sane energy model — bulk sleep charges fast-forward repeated
+    /// * a sane energy model — lazy settlement fast-forwards repeated
     ///   `f64` addition, which requires finite non-negative slot costs.
     fn skip_eligible(&self) -> bool {
         let e = &self.config.energy;
@@ -443,7 +459,7 @@ impl Simulator {
     /// * **clock** — every slot, or, when the run's randomness can be
     ///   calendared (see `skip_eligible`) and it spans at least a frame
     ///   (the skip clock fills the whole plan up front), only the
-    ///   *interesting* slots, settling the spans in between in bulk.
+    ///   *interesting* slots, settling each node's idle span lazily.
     ///
     /// The choice is purely a performance decision: reports and traces
     /// are bit-identical to a loop of `step` calls, which the golden
@@ -489,18 +505,18 @@ impl Simulator {
         &mut self,
         mac: &dyn MacProtocol,
         plan: &SlotPlan,
-        sleep_debt: Option<&mut [u64]>,
+        unsettled: Option<&mut Unsettled>,
     ) {
         let roster = plan.slot(plan.slot_index(self.slot));
-        self.step_with(mac, Rosters::Plan(roster), sleep_debt);
+        self.step_with(mac, Rosters::Plan(roster), unsettled);
     }
 
     /// The skip clock: jumps between *interesting* slots (traffic
-    /// generation, scheduled transmit occurrences of backlogged nodes —
-    /// see the `events` module), runs the ordinary step in each, and
-    /// settles the skipped spans in bulk (listener occurrences charged
-    /// from the frame summaries, per-node sleep debt fast-forwarded
-    /// bit-exactly).
+    /// generation, useful transmit occurrences of backlogged nodes — see
+    /// the `events` module) and runs the ordinary step in each. Nothing
+    /// is charged for the slots in between: each node's idle span
+    /// (listen occurrences and sleep) is settled bit-exactly when it is
+    /// next awake in a visited slot, or at a flush.
     ///
     /// With a battery capacity configured, skipping proceeds in *epochs*:
     /// each skip window is bounded so that no node can possibly deplete
@@ -514,12 +530,11 @@ impl Simulator {
         const MIN_EPOCH: u64 = 16;
         // How many slots to step when a depletion is imminent.
         const STEPPED_WINDOW: u64 = 64;
-        // Eager fill: the calendar's frame summaries need every roster.
+        // Eager fill: the calendar's occurrence lists need every roster.
         plan.ensure_filled(mac, plan.frame_length() - 1);
         let plan = &*plan;
-        let n = self.topo.num_nodes();
         let mut skip = self.skip_cache.take().unwrap_or_default();
-        skip.prepare(plan, self.slot, &self.queues, &self.dead);
+        skip.prepare(self, plan);
         let end = self.slot + slots;
         while self.slot < end {
             // Battery epoch: a window no node can deplete within. The
@@ -535,7 +550,7 @@ impl Simulator {
                         for _ in 0..STEPPED_WINDOW.min(end - self.slot) {
                             self.step_planned(mac, plan, None);
                         }
-                        skip.resettle(self.slot, &self.queues, &self.dead);
+                        skip.resettle(self);
                         continue;
                     }
                     end.min(self.slot.saturating_add(h))
@@ -543,33 +558,21 @@ impl Simulator {
                 None => end,
             };
             while self.slot < bound {
-                let next = skip
-                    .next_interesting(self.slot, &self.pattern, n, &self.queues, &self.dead)
-                    .min(bound);
-                if next > self.slot {
-                    phases::energy::advance_span(
-                        self,
-                        plan,
-                        &skip.active.rx_busy,
-                        &mut skip.last_flush,
-                        next,
-                    );
-                    self.slot = next;
-                }
+                self.slot = skip.next_interesting(self).min(bound);
                 if self.slot >= bound {
                     break;
                 }
                 skip.pop_due(self.slot);
-                self.step_planned(mac, plan, Some(&mut skip.last_flush));
-                skip.rearm_after_step(plan, self.slot - 1, &self.pattern, &self.queues, &self.dead);
+                self.step_planned(mac, plan, Some(&mut skip.unsettled));
+                skip.rearm_after_step(self, plan, self.slot - 1);
             }
             if self.config.battery_capacity_mj.is_some() {
                 // Settle at the epoch boundary so the next headroom (and
                 // any imminent-death window) computes on real numbers.
-                phases::energy::flush_all(self, &mut skip.last_flush);
+                phases::energy::flush_all(self, &mut skip.unsettled);
             }
         }
-        phases::energy::flush_all(self, &mut skip.last_flush);
+        phases::energy::flush_all(self, &mut skip.unsettled);
         self.skip_cache = Some(skip);
     }
 

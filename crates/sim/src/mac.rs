@@ -46,6 +46,30 @@ pub trait MacProtocol: Send + Sync {
         false
     }
 
+    /// Appends the scheduled transmitters and listeners among nodes
+    /// `0..n` at `slot` to `tx` and `rx`, each in ascending node order:
+    /// exactly the nodes for which [`may_transmit`] and [`may_receive`]
+    /// answer `true`. The [`SlotPlan`](crate::SlotPlan) fills every frame
+    /// slot's rosters through this one call.
+    ///
+    /// The default probes every node. A MAC that stores its slots as node
+    /// sets should override it to walk the set members instead (as
+    /// [`ScheduleMac`] does), so a plan fill costs the roster sizes rather
+    /// than `n` probes per frame slot.
+    ///
+    /// [`may_transmit`]: MacProtocol::may_transmit
+    /// [`may_receive`]: MacProtocol::may_receive
+    fn fill_rosters(&self, slot: u64, n: usize, tx: &mut Vec<u32>, rx: &mut Vec<u32>) {
+        for v in 0..n {
+            if self.may_transmit(v, slot) {
+                tx.push(v as u32);
+            }
+            if self.may_receive(v, slot) {
+                rx.push(v as u32);
+            }
+        }
+    }
+
     /// Probability that a node with pending traffic actually uses a
     /// transmit opportunity (p-persistence). Defaults to 1 (fully
     /// persistent), which is what schedule-based protocols want.
@@ -99,6 +123,17 @@ impl MacProtocol for ScheduleMac {
     /// A wrapped schedule consults slot `s mod L` by construction.
     fn frame_periodic(&self) -> bool {
         true
+    }
+
+    /// Walks the members of the slot's transmitter and receiver sets.
+    fn fill_rosters(&self, slot: u64, n: usize, tx: &mut Vec<u32>, rx: &mut Vec<u32>) {
+        let i = (slot % self.schedule.frame_length() as u64) as usize;
+        for (set, out) in [
+            (self.schedule.transmitters(i), tx),
+            (self.schedule.receivers(i), rx),
+        ] {
+            out.extend(set.iter().take_while(|&v| v < n).map(|v| v as u32));
+        }
     }
 }
 

@@ -25,8 +25,9 @@
 //! perceived slot) and which slots are visited at all (every slot, or the
 //! skip clock's calendar) is the engine's business, not the phases': one
 //! phase implementation serves every roster source and clock. The only
-//! clock-dependent knob is the energy phase's sleep-debt mode, in which
-//! sleepers accrue debt that the skip clock settles in bulk.
+//! clock-dependent knob is the energy phase's lazy mode, in which only
+//! the slot's transmitters are charged and every other node's idle span
+//! (listens and sleep) is settled later in one exact fold.
 //!
 //! Phases communicate only through per-slot scratch on the `Simulator`
 //! (`transmitting`, `listening`, `tx_queue_idx`, `successes`, the

@@ -352,6 +352,33 @@ fn watchdog_flags_a_shard_exceeding_its_budget() {
     assert!(!outcome.degraded, "flagging is advisory, not fatal");
 }
 
+/// Finishing a campaign must not wait out the watchdog's poll interval:
+/// with a one-minute interval, a one-shard campaign still returns at once.
+#[test]
+fn finishing_wakes_the_watchdog_instead_of_waiting_out_its_poll() {
+    let rates = [0.1];
+    let sp = spec("prompt", &rates, 1, 1);
+    let opts = CampaignOptions {
+        max_attempts: 1,
+        backoff_base_ms: 0,
+        watchdog: Some(WatchdogConfig {
+            poll_ms: 60_000,
+            ..WatchdogConfig::default()
+        }),
+    };
+    let t0 = std::time::Instant::now();
+    let outcome = run_campaign(&sp, None, ResumeMode::Auto, &opts, None, |p, s| {
+        scenario(&rates, p, s)
+    })
+    .unwrap();
+    let waited = t0.elapsed();
+    assert_eq!(outcome.executed_shards, 1);
+    assert!(
+        waited < std::time::Duration::from_secs(5),
+        "run_campaign took {waited:?}: finish waited out the watchdog poll"
+    );
+}
+
 #[test]
 fn status_overview_reads_a_manifest_without_the_spec() {
     let rates = [0.1, 0.3];

@@ -19,9 +19,14 @@ mod common;
 
 use common::{arb_scenario, fresh, parallel_pool, sequential_pool, stepped};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use ttdc_core::{build_duty_cycled, PartitionStrategy};
 use ttdc_sim::{
-    CrashModel, FaultPlan, GilbertElliott, MacProtocol, ScheduleMac, SimReport, SimulatorBuilder,
-    SlotEvent, SlotObserver, Topology, TrafficPattern,
+    CrashModel, FaultPlan, GeometricNetwork, GilbertElliott, MacProtocol, ScheduleMac, SimReport,
+    SimulatorBuilder, SlotEvent, SlotObserver, Topology, TrafficPattern,
 };
 use ttdc_util::BitSet;
 
@@ -119,6 +124,78 @@ fn battery_deaths_land_in_the_stepped_window() {
     let (skip, reference) = (skip.report(), reference.report());
     assert_eq!(skip.deaths, 2, "both batteries must run out");
     assert_eq!(skip, reference);
+}
+
+/// Counts the distinct slots in which a packet was generated or a node
+/// transmitted.
+#[derive(Debug)]
+struct EventfulSlots {
+    last: Option<u64>,
+    count: Arc<AtomicU64>,
+}
+
+impl SlotObserver for EventfulSlots {
+    fn on_event(&mut self, slot: u64, event: &SlotEvent) {
+        let eventful = matches!(
+            event,
+            SlotEvent::PacketGenerated { .. } | SlotEvent::Transmitted { .. }
+        );
+        if eventful && self.last != Some(slot) {
+            self.last = Some(slot);
+            self.count.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The skip clock wastes no visits: under schedule-aware CBR over a TTDC
+/// schedule, every slot it runs generates a packet or elects a
+/// transmitter, with packet errors off and at 10% (retries re-arm the
+/// sender). The eventful slots are counted on the `step()` reference,
+/// whose report must match.
+#[test]
+fn the_skip_clock_visits_only_slots_that_generate_or_transmit() {
+    let n = 40;
+    let c = build_duty_cycled(n, 4, 2, 4, PartitionStrategy::RoundRobin);
+    let mac = ScheduleMac::new("ttdc", c.schedule);
+    let mut rng = SmallRng::seed_from_u64(5);
+    let topo = GeometricNetwork::random(n, 0.3, 4, &mut rng).topology();
+    let pattern = TrafficPattern::CbrUnicast { period: 1_500 };
+    let slots = 40_000;
+    assert!(
+        slots >= 2 * mac.frame_length() as u64,
+        "the run must span frames"
+    );
+    for per in [0.0, 0.1] {
+        let builder = || {
+            SimulatorBuilder::new(topo.clone(), pattern)
+                .seed(9)
+                .faults(FaultPlan::none().with_per(per))
+        };
+        let mut skip = builder().build().unwrap();
+        skip.run(&mac, slots);
+        let count = Arc::new(AtomicU64::new(0));
+        let mut reference = builder()
+            .observer(EventfulSlots {
+                last: None,
+                count: Arc::clone(&count),
+            })
+            .build()
+            .unwrap();
+        stepped(&mut reference, &mac, slots);
+        assert_eq!(skip.report(), reference.report(), "per={per}");
+        assert_eq!(reference.visited_slots(), slots);
+        let eventful = count.load(Ordering::Relaxed);
+        let r = skip.report();
+        assert!(
+            r.delivered > 0 && eventful > 0,
+            "per={per}: the run must carry traffic"
+        );
+        assert!(
+            skip.visited_slots() <= eventful,
+            "per={per}: the skip clock visited {} slots, only {eventful} generated or transmitted",
+            skip.visited_slots()
+        );
+    }
 }
 
 proptest! {

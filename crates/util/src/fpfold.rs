@@ -29,6 +29,17 @@
 //! (`c` below half an ulp, or `x` non-finite) is an absorbing fixed
 //! point, detected **bitwise** (`-0.0 + 0.0` changes the bits but not the
 //! value) and short-circuited.
+//!
+//! The same ulp arithmetic folds an *interleaving* of two increments
+//! ([`add_counts`], [`fold_two`]): inside one binade, an increment that is
+//! not a round-half-to-even tie there advances the multiplier by the same
+//! `d` ulps at every step, whatever came before it. So `ka` additions of
+//! `a` and `kb` of `b`, **in any order**, land on `bits + ka·d_a + kb·d_b`
+//! as long as the final multiplier stays `≤ 2^53` — the order only matters
+//! at binade crossings and in the (one per increment) tie binade, where
+//! [`fold_two`] replays the sequence in order. [`BinadeSteps`] keeps one
+//! binade's two advances for callers that fold the same pair again and
+//! again.
 
 const MASK52: u64 = (1 << 52) - 1;
 const TWO53: u64 = 1 << 53;
@@ -38,6 +49,7 @@ const TWO53: u64 = 1 << 53;
 /// first normal binade share the spacing `2^-1074`, and for both the bit
 /// pattern *is* the multiplier, so they fold into one "binade" reaching
 /// up to `2^53` ulps.
+#[inline]
 fn decompose(bits: u64) -> (u64, i64) {
     let exp = (bits >> 52) & 0x7ff;
     if exp <= 1 {
@@ -64,37 +76,10 @@ fn fast_span(x: f64, c: f64, k: u64) -> Option<(f64, u64)> {
     }
     let xb = x.to_bits();
     let (m, e) = decompose(xb);
-    let (mc, ec) = decompose(c.to_bits());
-    // The exact increment in ulps of x: r = c / 2^e = mc · 2^(ec - e).
-    let shift = ec - e;
-    let (q, frac) = if shift >= 0 {
-        // Integer ratio (no fractional part, no rounding at all).
-        if shift >= 64 {
-            return None; // c astronomically larger: one step exits the binade
-        }
-        let q = (mc as u128) << shift;
-        if q >= TWO53 as u128 {
-            return None; // one step exits the binade
-        }
-        (q as u64, Frac::BelowHalf)
-    } else {
-        let s = -shift;
-        if s >= 64 {
-            // r < 2^53 / 2^64 < 1/2: every addition rounds straight back
-            // onto x — the whole span is absorbed.
-            return Some((x, k));
-        }
-        let s = s as u32;
-        let q = mc >> s;
-        let rem = mc & ((1u64 << s) - 1);
-        let half = 1u64 << (s - 1);
-        let frac = match rem.cmp(&half) {
-            std::cmp::Ordering::Less => Frac::BelowHalf,
-            std::cmp::Ordering::Equal => Frac::Half,
-            std::cmp::Ordering::Greater => Frac::AboveHalf,
-        };
-        (q, frac)
-    };
+    let (q, frac) = in_ulps(e, c);
+    if q >= TWO53 {
+        return None; // one step exits the binade
+    }
     // The constant per-step ulp increment under round-to-nearest-even.
     let d = match frac {
         Frac::BelowHalf => q,
@@ -158,6 +143,201 @@ pub fn iterate_add(mut x: f64, c: f64, mut k: u64) -> f64 {
         }
     }
     x
+}
+
+/// The increment `c` (positive and finite) measured in ulps `2^e`: its
+/// integer part `q`, saturated at `2^53` (a step that large leaves any
+/// binade), and how its fraction compares to 1/2. The ratio is exact:
+/// both are integers times powers of two. Increments below 2⁻¹¹ ulps
+/// come out as `(0, BelowHalf)`: every addition rounds back.
+#[inline]
+fn in_ulps(e: i64, c: f64) -> (u64, Frac) {
+    let (mc, ec) = decompose(c.to_bits());
+    let shift = ec - e;
+    if shift >= 0 {
+        // Integer ratio (no fractional part, no rounding at all).
+        if shift >= 64 {
+            return (TWO53, Frac::BelowHalf);
+        }
+        let q = ((mc as u128) << shift).min(TWO53 as u128);
+        return (q as u64, Frac::BelowHalf);
+    }
+    let s = -shift;
+    if s >= 64 {
+        return (0, Frac::BelowHalf); // r < 2^53 / 2^64 < 1/2
+    }
+    let s = s as u32;
+    let rem = mc & ((1u64 << s) - 1);
+    let frac = match rem.cmp(&(1u64 << (s - 1))) {
+        std::cmp::Ordering::Less => Frac::BelowHalf,
+        std::cmp::Ordering::Equal => Frac::Half,
+        std::cmp::Ordering::Greater => Frac::AboveHalf,
+    };
+    (mc >> s, frac)
+}
+
+/// The constant per-step ulp advance of `x += c` for every `x` in the
+/// binade whose ulp is `2^e`, or `None` when `c` is a round-half-to-even
+/// tie there (the advance then depends on the multiplier's parity).
+/// `c` must be finite and non-negative.
+#[inline]
+fn ulp_advance(e: i64, c: f64) -> Option<u64> {
+    if c == 0.0 {
+        return Some(0); // also -0.0, whose sign bit `in_ulps` would misread
+    }
+    match in_ulps(e, c) {
+        (q, Frac::BelowHalf) => Some(q),
+        (q, Frac::AboveHalf) => Some(q + 1),
+        (_, Frac::Half) => None,
+    }
+}
+
+/// The exact result of `ka` additions of `a` and `kb` additions of `b` to
+/// `x`, **in any order**, when every step stays inside `x`'s binade — one
+/// multiply-add on the bit pattern. `None` when that does not hold: `x` is
+/// zero, negative or non-finite, an increment is negative or non-finite,
+/// an increment that occurs is a tie in this binade, or the landing would
+/// pass the binade top (`2^53` ulps). Counts may exceed `2^32`; the ulp
+/// arithmetic is done in 128 bits.
+#[inline]
+pub fn add_counts(x: f64, a: f64, ka: u64, b: f64, kb: u64) -> Option<f64> {
+    if !(x.is_finite() && x > 0.0) {
+        return None;
+    }
+    let sane = |c: f64| c.is_finite() && c >= 0.0;
+    if !sane(a) || !sane(b) {
+        return None;
+    }
+    let xb = x.to_bits();
+    let (m, e) = decompose(xb);
+    let da = if ka == 0 { 0 } else { ulp_advance(e, a)? };
+    let db = if kb == 0 { 0 } else { ulp_advance(e, b)? };
+    let advance = ka as u128 * da as u128 + kb as u128 * db as u128;
+    if m as u128 + advance > TWO53 as u128 {
+        return None;
+    }
+    Some(f64::from_bits(xb + advance as u64))
+}
+
+/// The ulp advances of two fixed increments inside one binade, kept so
+/// that repeated jumps from that binade skip recomputing them: a
+/// memoised [`add_counts`] for the engine's settlements, which fold the
+/// same two charges over and over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BinadeSteps {
+    /// The binade (`decompose`'s ulp exponent); `i64::MIN` matches none.
+    e: i64,
+    da: u64,
+    db: u64,
+}
+
+impl Default for BinadeSteps {
+    /// Steps that match no binade.
+    fn default() -> Self {
+        BinadeSteps {
+            e: i64::MIN,
+            da: 0,
+            db: 0,
+        }
+    }
+}
+
+impl BinadeSteps {
+    /// The advances of `a` and `b` in `x`'s binade; steps matching no
+    /// binade where [`add_counts`] could not jump with both increments
+    /// (`x` not positive and finite, an increment negative or not finite,
+    /// or either a tie there).
+    pub fn at(x: f64, a: f64, b: f64) -> BinadeSteps {
+        let sane = |c: f64| c.is_finite() && c >= 0.0;
+        if !(x.is_finite() && x > 0.0 && sane(a) && sane(b)) {
+            return BinadeSteps::default();
+        }
+        let (_, e) = decompose(x.to_bits());
+        match (ulp_advance(e, a), ulp_advance(e, b)) {
+            (Some(da), Some(db)) => BinadeSteps { e, da, db },
+            _ => BinadeSteps::default(),
+        }
+    }
+
+    /// [`add_counts`]`(x, a, ka, b, kb)` for the `a` and `b` these steps
+    /// were taken for, when `x` lies in their binade; `None` otherwise or
+    /// when the landing would pass the binade top.
+    #[inline]
+    pub fn jump(&self, x: f64, ka: u64, kb: u64) -> Option<f64> {
+        if !(x.is_finite() && x > 0.0) {
+            return None;
+        }
+        let xb = x.to_bits();
+        let (m, e) = decompose(xb);
+        if e != self.e {
+            return None;
+        }
+        let advance = ka as u128 * self.da as u128 + kb as u128 * self.db as u128;
+        if m as u128 + advance > TWO53 as u128 {
+            return None;
+        }
+        Some(f64::from_bits(xb + advance as u64))
+    }
+}
+
+/// The exact result of adding, in order, `len` increments to `x`: `a` at
+/// the `marks` *marked* positions of a sequence and `b` at every other
+/// one, where `mark_at(j)` is the position of the `j`-th mark (0-based,
+/// strictly increasing, all below `len`).
+///
+/// Costs one [`add_counts`] when the whole sequence stays in one binade
+/// (the common case, no `mark_at` call at all). A sequence that leaves
+/// the binade jumps to the last mark before the crossing (a bisection
+/// over the marks), then takes one ordered step — the run of `b`s up to
+/// the next mark through [`iterate_add`], then that mark's `a` — and
+/// tries to jump again. The same ordered steps cover a zero start and the
+/// tie binade of either increment. Same increment contract as
+/// [`iterate_add`].
+pub fn fold_two(
+    mut x: f64,
+    a: f64,
+    b: f64,
+    len: u64,
+    marks: u64,
+    mark_at: impl Fn(u64) -> u64,
+) -> f64 {
+    // `p` positions and `k` marks are folded in so far.
+    let (mut p, mut k) = (0u64, 0u64);
+    loop {
+        let rest_a = marks - k;
+        if let Some(y) = add_counts(x, a, rest_a, b, len - p - rest_a) {
+            return y;
+        }
+        if rest_a == 0 {
+            return iterate_add(x, b, len - p);
+        }
+        // Jumping through mark `j` folds marks `k..=j` and the `b`s
+        // among them; the advance only grows with `j`, so bisect.
+        let through = |j: u64| {
+            let q = mark_at(j);
+            add_counts(x, a, j - k + 1, b, q - p - (j - k)).map(|y| (y, q))
+        };
+        if let Some(first) = through(k) {
+            let (mut lo, mut hi, mut best) = (k, marks, first);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                match through(mid) {
+                    Some(jump) => (lo, best) = (mid, jump),
+                    None => hi = mid,
+                }
+            }
+            (x, p, k) = (best.0, best.1 + 1, lo + 1);
+            continue;
+        }
+        if (x + a).to_bits() == x.to_bits() && (x + b).to_bits() == x.to_bits() {
+            return x; // both increments absorbed: nothing can move x again
+        }
+        // One ordered step: the `b`s up to the next mark, then its `a`.
+        let q = mark_at(k);
+        x = iterate_add(x, b, q - p) + a;
+        p = q + 1;
+        k += 1;
+    }
 }
 
 #[cfg(test)]
